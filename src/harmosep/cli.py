@@ -22,10 +22,11 @@ import tempfile
 
 import numpy as np
 
-from . import dictlearn, fixtures, logspect, metrics, separate as sep
+from . import dictlearn, fixtures, logspect, metrics
 from .audio import read_wav, write_wav
 from .errors import ConfigError, DomainError, FormatError, HarmosepError
 from .logspect import LogAxisConfig
+from .separate import separate
 from .stft import StftConfig, save_pgm, stft_magnitude
 
 DEFAULTS = {
@@ -161,11 +162,10 @@ def cmd_separate(args, cfg):
     clip = read_wav(args.input)
     dictionary, kept = dictlearn.load_dictionary(args.dictionary)
     U, Z, phase, scfg = _transform(clip, cfg)
-    result = sep.separate(U, Z, phase, dictionary, kept, cfg["n_spr"],
-                          axis=log_axis(cfg), stft_cfg=scfg,
-                          use_mask=cfg["use_mask"],
-                          gl_iters=cfg["gl_iters"],
-                          length=len(clip.samples))
+    result = separate(U, Z, phase, dictionary, kept, cfg["n_spr"],
+                      axis=log_axis(cfg), stft_cfg=scfg,
+                      use_mask=cfg["use_mask"], gl_iters=cfg["gl_iters"],
+                      length=len(clip.samples))
     os.makedirs(args.outdir, exist_ok=True)
     stem = os.path.splitext(os.path.basename(args.input))[0]
     for k, signal in enumerate(result.signals):

@@ -41,9 +41,10 @@ class Dictionary:
 
     def __post_init__(self):
         self.D = np.asarray(self.D, dtype=np.float64)
-        if self.D.ndim != 2:
-            raise DomainError("dictionary must be a 2-D matrix")
-        if self.D.min() < 0.0 or self.D.max() > 1.0:
+        if self.D.ndim != 2 or self.D.size == 0:
+            raise DomainError("dictionary must be a non-empty 2-D matrix")
+        if not (np.all(np.isfinite(self.D)) and self.D.min() >= 0.0
+                and self.D.max() <= 1.0):
             raise DomainError("dictionary entries must lie in [0, 1]")
 
     n_har = property(lambda self: self.D.shape[0])
@@ -72,19 +73,20 @@ class HarmonicPatternFamily:
             np.array([width_range[0] * self.sigma_nil, 0.0]),
             np.array([width_range[1] * self.sigma_nil, b_max]),
         )
-        self._h = np.arange(1, self.n_har + 1, dtype=np.float64)
+        h = np.arange(1, self.n_har + 1, dtype=np.float64)
+        self._log2_h = np.log2(h)
+        self._h2 = h**2
         self._pattern_cache = {}
 
     def partial_offsets(self, b):
         """Log-axis offsets of the partials relative to the fundamental;
         ``b`` may be a scalar or a column vector for batched atoms."""
-        h = self._h
-        return self.axis.alpha0 * (np.log2(h)
-                                   + 0.5 * np.log2(1.0 + b * h**2))
+        return self.axis.alpha0 * (self._log2_h
+                                   + 0.5 * np.log2(1.0 + b * self._h2))
 
     def _doffsets_db(self, b):
-        h = self._h
-        return self.axis.alpha0 * 0.5 * h**2 / ((1.0 + b * h**2) * _LN2)
+        h2 = self._h2
+        return self.axis.alpha0 * 0.5 * h2 / ((1.0 + b * h2) * _LN2)
 
     def _flatten(self, amps, shifts, etas, thetas):
         # One Gaussian per (atom, partial) pair.
@@ -112,22 +114,19 @@ class HarmonicPatternFamily:
 
     def _compose(self, ip_g, ip_dc, ip_ds, dweights, amps, thetas):
         g_a = (dweights * ip_g).sum(axis=1)
-        g_mu = amps * (dweights * ip_dc).sum(axis=1)
+        dw_dc = dweights * ip_dc
+        g_mu = amps * dw_dc.sum(axis=1)
         g_sigma = amps * (dweights * ip_ds).sum(axis=1) * self.bin_scale
         doff = self._doffsets_db(thetas[:, 1][:, None])
-        g_b = amps * (dweights * ip_dc * doff).sum(axis=1)
+        g_b = amps * (dw_dc * doff).sum(axis=1)
         return g_a, g_mu, np.stack([g_sigma, g_b], axis=1)
-
-    def backprop(self, weights_vec, amps, shifts, etas, thetas):
-        ip_g, ip_dc, ip_ds, dweights = self._adjoints(
-            weights_vec, amps, shifts, etas, thetas)
-        return self._compose(ip_g, ip_dc, ip_ds, dweights, amps, thetas)
 
     def forward(self, length, amps, shifts, etas, thetas):
         centers, amp_flat, stds, dweights = self._flatten(amps, shifts,
                                                           etas, thetas)
-        out, cache = gaussian_forward(length, centers, amp_flat, stds)
-        return out, (cache, dweights)
+        values, lo, cache = gaussian_forward(length, centers, amp_flat,
+                                             stds)
+        return values, lo, (cache, dweights)
 
     def adjoint(self, weights_vec, ctx, amps, shifts, etas, thetas):
         cache, dweights = ctx
@@ -139,7 +138,8 @@ class HarmonicPatternFamily:
 
     def dict_backprop(self, weights_vec, amps, shifts, etas, thetas):
         """Gradient of the loss with respect to the dictionary entries,
-        with the atoms' own parameters held fixed."""
+        with the atoms' own parameters held fixed; ``weights_vec`` spans
+        the whole grid."""
         g = np.zeros_like(self.D)
         if len(amps) == 0:
             return g
@@ -289,22 +289,52 @@ def save_dictionary(path, dictionary, kept):
         fh.write("\n".join(lines) + "\n")
 
 
+def _header_value(line, key, path):
+    fields = line.split()
+    if len(fields) != 2 or fields[0] != key:
+        raise FormatError(f"expected '{key} <integer>' in {path}")
+    try:
+        return int(fields[1])
+    except ValueError:
+        raise FormatError(f"{key} is not an integer in {path}") from None
+
+
 def load_dictionary(path):
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    """Read a file written by :func:`save_dictionary`; any malformed
+    content raises :class:`FormatError`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError:
+        raise FormatError(f"{path} is not a dictionary file") from None
     if not lines or not lines[0].startswith(_DICT_MAGIC):
         raise FormatError(f"{path} is not a dictionary file")
-    version = int(lines[0].split()[1])
+    if len(lines) < 4:
+        raise FormatError(f"truncated dictionary header in {path}")
+    version = _header_value(lines[0], _DICT_MAGIC, path)
     if version != _DICT_VERSION:
         raise FormatError(f"unsupported dictionary version {version}")
-    n_har = int(lines[1].split()[1])
-    n_pat = int(lines[2].split()[1])
-    kept = np.array([int(v) for v in lines[3].split()[1:]], dtype=np.int64)
-    rows = lines[4:4 + n_pat]
+    n_har = _header_value(lines[1], "n_har", path)
+    n_pat = _header_value(lines[2], "n_pat", path)
+    if n_har < 1 or n_pat < 1:
+        raise FormatError(f"empty dictionary in {path}")
+    kept_fields = lines[3].split()
+    if kept_fields[0] != "kept":
+        raise FormatError(f"expected the kept columns in {path}")
+    rows = lines[4:]
     if len(rows) != n_pat:
         raise FormatError(f"expected {n_pat} columns in {path}")
-    D = np.stack([np.array([float(v) for v in row.split()])
-                  for row in rows], axis=1)
-    if D.shape[0] != n_har:
+    try:
+        kept = [int(v) for v in kept_fields[1:]]
+        columns = [[float(v) for v in row.split()] for row in rows]
+    except ValueError:
+        raise FormatError(f"non-numeric entry in {path}") from None
+    if any(not 0 <= k < n_pat for k in kept):
+        raise FormatError(f"kept column out of range in {path}")
+    if any(len(col) != n_har for col in columns):
         raise FormatError(f"column length mismatch in {path}")
-    return Dictionary(D), kept
+    try:
+        return (Dictionary(np.array(columns).T),
+                np.array(kept, dtype=np.int64))
+    except DomainError as exc:
+        raise FormatError(f"{exc} in {path}") from None

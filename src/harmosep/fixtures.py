@@ -8,7 +8,7 @@ multiples of 2^-14 so the sum stays exactly representable in 32-bit
 float WAV files.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -15,8 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FormatError
-from .kernels import (gaussian_accumulate, gaussian_adjoint,
-                      gaussian_backprop, gaussian_forward)
+from .kernels import gaussian_accumulate, gaussian_adjoint, gaussian_forward
+# Unused here, but kept bound: perfbench/tracer.py times each kernel
+# under the name of the module that calls it.
+from .kernels import gaussian_backprop  # noqa: F401
 from .optim import BoxSpec
 from .pursuit import PursuitConfig, pursue
 from .stft import LogAxis, SpectrogramGrid, StftConfig
@@ -74,14 +76,6 @@ class GaussianPeakFamily:
     def accumulate(self, out, amps, shifts, etas, thetas):
         gaussian_accumulate(out, shifts, amps, self._stds(thetas))
         return out
-
-    def backprop(self, weights, amps, shifts, etas, thetas):
-        ip_g, ip_dc, ip_ds = gaussian_backprop(weights, shifts,
-                                               self._stds(thetas))
-        g_a = ip_g
-        g_mu = amps * ip_dc
-        g_theta = (amps * ip_ds * self.bin_scale)[:, None]
-        return g_a, g_mu, g_theta
 
     def forward(self, length, amps, shifts, etas, thetas):
         return gaussian_forward(length, shifts, amps, self._stds(thetas))
@@ -188,6 +182,8 @@ def save_log_cache(path, grid):
 
 
 def load_log_cache(path):
+    """Read a file written by :func:`save_log_cache`; any malformed
+    content raises :class:`FormatError`."""
     with open(path, "rb") as fh:
         raw = fh.read(_CACHE_HEADER.size)
         if len(raw) < _CACHE_HEADER.size:
@@ -199,8 +195,14 @@ def load_log_cache(path):
         if version != _CACHE_VERSION:
             raise FormatError(f"unsupported cache version {version}")
         payload = fh.read()
+    if not (np.isfinite([f0, alpha0, period]).all() and f0 > 0.0
+            and alpha0 > 0.0 and period >= 0.0):
+        raise FormatError(f"invalid log axis or frame period in {path}")
     if len(payload) != 4 * m * n_frames:
         raise FormatError(f"cache payload size mismatch in {path}")
     data = np.frombuffer(payload, dtype=np.float32)
+    if not (np.all(np.isfinite(data)) and np.all(data >= 0.0)):
+        raise FormatError(f"cache values must be finite and nonnegative "
+                          f"in {path}")
     values = data.reshape(m, n_frames).astype(np.float64)
     return SpectrogramGrid(values, LogAxis(f0, alpha0), period)

@@ -8,7 +8,7 @@ the squared column gradient), which preserves the relative scaling of
 the harmonics within a column.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import Bounds, minimize

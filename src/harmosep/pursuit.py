@@ -20,19 +20,26 @@ surface::
     n_patterns, n_params : int
     theta_nil            : (n_params,) default parameters
     theta_box            : BoxSpec over the parameters
+    forward(length, amps, shifts, etas, thetas) -> (values, lo, ctx)
+    adjoint(weights, ctx, amps, shifts, etas, thetas)
+        -> (grad_a, grad_mu, grad_theta)
     accumulate(out, amps, shifts, etas, thetas)      # adds the model
-    backprop(weights, amps, shifts, etas, thetas)    # adjoint products
     sampled_pattern(eta)  -> (offsets, values)       # at theta_nil
     support_halfwidth()   -> float
 
-Families backed by a dictionary additionally expose
-``dict_backprop(weights, amps, shifts, etas, thetas)``.  Families may
-optionally provide a fused ``forward``/``adjoint`` pair that shares the
-evaluated windows between the model and gradient passes; the loss uses
-it when present.
+``forward`` evaluates the model on its span: ``values`` holds the model
+on the samples ``lo <= s < lo + len(values)`` of a grid of ``length``
+samples, and the model is zero elsewhere on the grid.  ``adjoint``
+takes ``weights`` = dL/dmodel on that same span, with the ``ctx`` of
+the forward pass, and returns the gradients of the atoms' parameters.
+The loss therefore touches only the span on each evaluation; the
+lifted target and the error of the empty model are computed once per
+pursuit.  Families backed by a dictionary additionally expose
+``dict_backprop(weights, amps, shifts, etas, thetas)`` with weights on
+the whole grid.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,40 +132,52 @@ def _model(length, atoms, family):
     return out
 
 
+class _Target:
+    """The per-pursuit invariants of the loss for one sample vector:
+    the lifted target ``(Y + delta)^q`` and the lifted error ``e0`` of
+    the empty model."""
+
+    def __init__(self, Y, cfg):
+        self.lifted = (Y + cfg.delta) ** cfg.q
+        # Lifted as the loss lifts a model sample that is exactly zero.
+        self.e0 = self.lifted - (np.zeros(len(Y)) + cfg.delta) ** cfg.q
+
+
 def loss(Y, atoms, family, cfg, with_dict_grad=False):
     """Lifted squared loss and its analytic gradients.
 
-    Returns ``(value, grad_a, grad_mu, grad_theta)`` and, when
-    requested and supported by the family, the gradient with respect to
-    the dictionary entries as a trailing element.
+    ``Y`` is the sample vector, or the :class:`_Target` that
+    :func:`pursue` builds from it once.  Returns ``(value, grad_a,
+    grad_mu, grad_theta)`` and, when requested and supported by the
+    family, the gradient with respect to the dictionary entries as a
+    trailing element.
     """
-    Y = np.asarray(Y, dtype=np.float64)
+    if not isinstance(Y, _Target):
+        Y = _Target(np.asarray(Y, dtype=np.float64), cfg)
     q, delta = cfg.q, cfg.delta
-    fused = hasattr(family, "forward")
-    if len(atoms) and fused:
-        model, ctx = family.forward(len(Y), atoms.a, atoms.mu, atoms.eta,
-                                    atoms.theta)
-    else:
-        model = _model(len(Y), atoms, family)
-    lifted_y = (Y + delta) ** q
-    lifted_m = (model + delta) ** q
-    err = lifted_y - lifted_m
-    value = float(err @ err)
-    # dL/dmodel[s]
-    weights = -2.0 * q * err * (model + delta) ** (q - 1.0)
-    if len(atoms) and fused:
+    # The model is zero off its span, where the error is e0's.
+    err = Y.e0.copy()
+    if len(atoms):
+        model, lo, ctx = family.forward(len(err), atoms.a, atoms.mu,
+                                        atoms.eta, atoms.theta)
+        hi = lo + len(model)
+        shifted = model + delta
+        np.subtract(Y.lifted[lo:hi], shifted ** q, out=err[lo:hi])
+        # dL/dmodel on the span
+        weights = -2.0 * q * err[lo:hi] * shifted ** (q - 1.0)
         g_a, g_mu, g_theta = family.adjoint(weights, ctx, atoms.a,
                                             atoms.mu, atoms.eta,
                                             atoms.theta)
-    elif len(atoms):
-        g_a, g_mu, g_theta = family.backprop(weights, atoms.a, atoms.mu,
-                                             atoms.eta, atoms.theta)
     else:
+        lo, weights = 0, np.zeros(0)
         g_a = np.zeros(0)
         g_mu = np.zeros(0)
         g_theta = np.zeros((0, family.n_params))
+    value = float(err @ err)
     if with_dict_grad:
-        g_dict = family.dict_backprop(weights, atoms.a, atoms.mu,
+        grid_weights = np.zeros(len(err))
+        grid_weights[lo:lo + len(weights)] = weights
+        g_dict = family.dict_backprop(grid_weights, atoms.a, atoms.mu,
                                       atoms.eta, atoms.theta)
         return value, g_a, g_mu, g_theta, g_dict
     return value, g_a, g_mu, g_theta
@@ -238,11 +257,11 @@ def select_peaks(residual, family, cfg, n_pick, floor=0.0):
 _SELECTORS = {"xcorr": select_xcorr, "peaks": select_peaks}
 
 
-def _refine(Y, atoms, family, cfg):
+def _refine(target, atoms, family, cfg):
     """Jointly refine (a, mu, theta) of all atoms with L-BFGS-B."""
     n = len(atoms)
     if n == 0:
-        v, *_ = loss(Y, atoms, family, cfg)
+        v, *_ = loss(target, atoms, family, cfg)
         return v
     n_par = family.n_params
     x0 = np.concatenate([atoms.a, atoms.mu, atoms.theta.ravel()])
@@ -255,7 +274,7 @@ def _refine(Y, atoms, family, cfg):
         atoms.a = x[:n]
         atoms.mu = x[n:2 * n]
         atoms.theta = x[2 * n:].reshape(n, n_par)
-        v, g_a, g_mu, g_theta = loss(Y, atoms, family, cfg)
+        v, g_a, g_mu, g_theta = loss(target, atoms, family, cfg)
         return v, np.concatenate([g_a, g_mu, g_theta.ravel()])
 
     x, f = minimize_box(objective, x0, BoxSpec(lower, upper),
@@ -284,14 +303,17 @@ def pursue(Y, family, cfg):
     and the final loss value.
     """
     Y = np.asarray(Y, dtype=np.float64)
+    if not np.all(np.isfinite(Y)):
+        raise DomainError("pursuit input must be finite")
     if np.any(Y < 0):
         raise DomainError("pursuit input must be nonnegative")
+    target = _Target(Y, cfg)
     selector = _SELECTORS[cfg.selector]
     atoms = _AtomSet(family.n_params)
-    prev_loss, *_ = loss(Y, atoms, family, cfg)
+    prev_loss, *_ = loss(target, atoms, family, cfg)
     hw = family.support_halfwidth()
     # Noise floor in lifted amplitude units, relative to the frame peak.
-    lifted_peak = float(np.max((Y + cfg.delta) ** cfg.q))
+    lifted_peak = float(np.max(target.lifted))
     floor = cfg.floor_rel * lifted_peak
     amp_floor = floor ** (1.0 / cfg.q) if floor > 0.0 else 0.0
     # Below this the fit is at machine precision and the relative
@@ -306,11 +328,11 @@ def pursue(Y, family, cfg):
             break
         snapshot = atoms.copy()
         atoms.extend(*cand)
-        cur_loss = _refine(Y, atoms, family, cfg)
+        cur_loss = _refine(target, atoms, family, cfg)
         n_before = len(atoms)
         _sparsify(atoms, family.n_patterns, cfg.n_spr)
         if len(atoms) != n_before:
-            cur_loss = _refine(Y, atoms, family, cfg)
+            cur_loss = _refine(target, atoms, family, cfg)
         # Drop dead atoms and shifts that left the sampled support.
         atoms.keep((atoms.a > amp_floor)
                    & (atoms.mu > -hw) & (atoms.mu < len(Y) - 1 + hw))
@@ -323,7 +345,7 @@ def pursue(Y, family, cfg):
     result_atoms = [PursuitAtom(float(a), float(mu), int(eta), th.copy())
                     for a, mu, eta, th in
                     zip(atoms.a, atoms.mu, atoms.eta, atoms.theta)]
-    final_loss, *_ = loss(Y, atoms, family, cfg)
+    final_loss, *_ = loss(target, atoms, family, cfg)
     return PursuitResult(result_atoms, amp_sums, final_loss)
 
 

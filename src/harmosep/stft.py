@@ -7,7 +7,7 @@ window length, so one frequency bin spans ``sample_rate / n_fft`` Hz
 squared: the grid is positively homogeneous in the input signal.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

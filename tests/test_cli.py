@@ -143,3 +143,24 @@ def test_eval_identical_files(short_fixture, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "sdr_db=inf" in out
+
+
+def test_readme_workflow_end_to_end(short_fixture, tmp_path, capsys):
+    small = FAST_TRANSFORM + ["--set", "hop=4096", "--set", "n_trn=4",
+                              "--set", "prune_interval=2"]
+    mix = str(short_fixture / "mix.wav")
+    cache = tmp_path / "mix.hsls"
+    dictionary = tmp_path / "dict.txt"
+    stems = tmp_path / "stems"
+    assert main(small + ["transform", mix, "-o", str(cache)]) == 0
+    assert main(small + ["train", str(cache), "-o", str(dictionary)]) == 0
+    assert main(small + ["separate", mix, str(dictionary),
+                         "--outdir", str(stems)]) == 0
+    ests = [stems / f"mix.inst{k}.wav" for k in range(2)]
+    assert all(read_wav(p).samples.size == read_wav(mix).samples.size
+               for p in ests)
+    capsys.readouterr()
+    assert main(["eval", "--refs", str(short_fixture / "ref0.wav"),
+                 str(short_fixture / "ref1.wav"),
+                 "--ests", *map(str, ests)]) == 0
+    assert "sdr_db=" in capsys.readouterr().out

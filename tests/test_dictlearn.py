@@ -17,8 +17,15 @@ def test_dictionary_validates_entries():
         Dictionary(np.array([[1.5]]))
     with pytest.raises(DomainError):
         Dictionary(np.zeros(3))
+    with pytest.raises(DomainError):
+        Dictionary(np.zeros((0, 2)))
     d = Dictionary(np.full((4, 2), 0.5))
     assert d.n_har == 4 and d.n_pat == 2
+
+
+def test_dictionary_rejects_nan():
+    with pytest.raises(DomainError):
+        Dictionary([[np.nan, 0.5]])
 
 
 class _StubRng:

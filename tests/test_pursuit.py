@@ -154,6 +154,14 @@ def test_pursue_rejects_negative_input():
         pursue(np.array([1.0, -0.5]), family(), PursuitConfig())
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pursue_rejects_non_finite_input(bad):
+    Y = np.zeros(50)
+    Y[20] = bad
+    with pytest.raises(DomainError):
+        pursue(Y, family(), PursuitConfig())
+
+
 def test_pursue_termination_restores_previous_atoms():
     # one clean bump: after the first iteration the loss is ~0; the
     # second iteration cannot improve by the factor lam and must leave
