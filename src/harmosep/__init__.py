@@ -12,8 +12,8 @@ from .logspect import (GaussianPeakFamily, LogAxisConfig, gaussian_family,
                        transform_config)
 from .metrics import BssScores, bss_eval, format_report, project
 from .optim import AdamState, BoxSpec, adam_step, minimize_box
-from .pursuit import (PursuitAtom, PursuitConfig, PursuitResult, loss,
-                      pursue, select_peaks, select_xcorr)
+from .pursuit import (Atoms, PursuitConfig, PursuitResult, loss, pursue,
+                      select_peaks, select_xcorr)
 from .separate import (SeparationResult, apply_mask,
                        reconstruct_instrument, separate)
 from .stft import (SpectrogramGrid, StftConfig, griffin_lim, istft,

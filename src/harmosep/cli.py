@@ -42,8 +42,6 @@ DEFAULTS = {
     "seed": 0,
     "n_har": 25,
     "prune_interval": 500,
-    "b_max": 5e-3,
-    "lam": 0.9,
     "transform_n_spr": 1000,
     "transform_n_pre": 1000,
     "transform_n_itr": 20,
@@ -149,7 +147,7 @@ def cmd_train(args, cfg):
     dictionary, kept = dictlearn.train(
         U, cfg["n_ins"], cfg["n_spr"], cfg["n_trn"], cfg["seed"],
         n_har=cfg["n_har"], prune_interval=cfg["prune_interval"],
-        axis=log_axis(cfg), b_max=cfg["b_max"])
+        axis=log_axis(cfg))
     _atomic_write(args.output,
                   lambda tmp: dictlearn.save_dictionary(tmp, dictionary,
                                                         kept))
@@ -172,8 +170,8 @@ def cmd_separate(args, cfg):
         path = os.path.join(args.outdir, f"{stem}.inst{k}.wav")
         _atomic_write(path, lambda tmp, s=signal:
                       write_wav(s, tmp, dtype="float32"))
-        n_atoms = sum(1 for atoms in result.atoms_per_frame
-                      for a in atoms if a.pattern == k)
+        n_atoms = sum(np.count_nonzero(atoms.eta == k)
+                      for atoms in result.atoms_per_frame)
         print(f"wrote {path} ({n_atoms} tones)")
     return 0
 
@@ -223,10 +221,6 @@ def build_parser():
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
                         dest="overrides", help="override one config key")
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("HARMOSEP_THREADS", 1)),
-                        help="worker count cap (stages currently run "
-                             "sequentially)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("transform", help="wav -> log-spectrogram cache")
@@ -264,8 +258,6 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.threads < 1:
-            raise ConfigError("--threads must be >= 1")
         cfg = load_config(args.config, args.overrides)
         return args.func(args, cfg)
     except SystemExit as exc:

@@ -21,15 +21,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, FormatError
-from .kernels import (gaussian_accumulate, gaussian_adjoint,
+from .kernels import (CUTOFF_SIGMAS, gaussian_accumulate, gaussian_adjoint,
                       gaussian_backprop, gaussian_forward)
-from .logspect import LogAxisConfig
+from .logspect import WIDTH_RANGE, LogAxisConfig
 from .optim import AdamState, BoxSpec, adam_step
-from .pursuit import PursuitConfig, atoms_to_arrays, loss, pursue
+from .pursuit import PursuitConfig, loss, pursue
 from .stft import StftConfig
 
 DEFAULT_N_HAR = 25
 DEFAULT_PRUNE_INTERVAL = 500
+# Upper bound of the inharmonicity b, for training and separation alike.
 DEFAULT_B_MAX = 5e-3
 
 _LN2 = np.log(2.0)
@@ -55,13 +56,13 @@ class HarmonicPatternFamily:
     """Pattern family of harmonic combs parameterized by a dictionary.
 
     theta = (sigma, b): peak width (cycles/sample, as in the Gaussian
-    family) and inharmonicity.
+    family, within the same ``WIDTH_RANGE`` of sigma_nil) and
+    inharmonicity in [0, DEFAULT_B_MAX].
     """
 
     n_params = 2
 
-    def __init__(self, D, axis, sigma_nil, bin_scale,
-                 width_range=(0.25, 4.0), b_max=DEFAULT_B_MAX):
+    def __init__(self, D, axis, sigma_nil, bin_scale):
         self.D = np.asarray(D, dtype=np.float64)
         self.axis = axis
         self.sigma_nil = float(sigma_nil)
@@ -70,8 +71,8 @@ class HarmonicPatternFamily:
         self.n_har = self.D.shape[0]
         self.theta_nil = np.array([self.sigma_nil, 0.0])
         self.theta_box = BoxSpec(
-            np.array([width_range[0] * self.sigma_nil, 0.0]),
-            np.array([width_range[1] * self.sigma_nil, b_max]),
+            np.array([WIDTH_RANGE[0] * self.sigma_nil, 0.0]),
+            np.array([WIDTH_RANGE[1] * self.sigma_nil, DEFAULT_B_MAX]),
         )
         h = np.arange(1, self.n_har + 1, dtype=np.float64)
         self._log2_h = np.log2(h)
@@ -145,9 +146,7 @@ class HarmonicPatternFamily:
             return g
         ip_g, _, _, _ = self._adjoints(weights_vec, amps, shifts, etas,
                                        thetas)
-        contrib = amps[:, None] * ip_g
-        for j, eta in enumerate(etas):
-            g[:, eta] += contrib[j]
+        np.add.at(g.T, etas, amps[:, None] * ip_g)
         return g
 
     def sampled_pattern(self, eta):
@@ -155,7 +154,7 @@ class HarmonicPatternFamily:
             return self._pattern_cache[eta]
         std = self.sigma_nil * self.bin_scale
         offs = self.partial_offsets(0.0)
-        hw = int(np.ceil(8.0 * std)) + 1
+        hw = int(np.ceil(CUTOFF_SIGMAS * std)) + 1
         lo = -hw
         hi = int(np.ceil(offs[-1])) + hw
         grid = np.arange(lo, hi + 1, dtype=np.float64)
@@ -166,14 +165,12 @@ class HarmonicPatternFamily:
         return self._pattern_cache[eta]
 
     def support_halfwidth(self):
-        b_max = self.theta_box.upper[1]
         top = self.axis.alpha0 * np.log2(
-            self.n_har * np.sqrt(1.0 + b_max * self.n_har**2))
-        return top + 8.0 * self.theta_box.upper[0] * self.bin_scale
+            self.n_har * np.sqrt(1.0 + DEFAULT_B_MAX * self.n_har**2))
+        return top + CUTOFF_SIGMAS * self.theta_box.upper[0] * self.bin_scale
 
 
-def harmonic_family(dictionary, axis=None, stft_cfg=None,
-                    b_max=DEFAULT_B_MAX):
+def harmonic_family(dictionary, axis=None, stft_cfg=None):
     """Build the harmonic pattern family for a dictionary."""
     if axis is None:
         axis = LogAxisConfig()
@@ -181,7 +178,7 @@ def harmonic_family(dictionary, axis=None, stft_cfg=None,
         stft_cfg = StftConfig()
     D = dictionary.D if isinstance(dictionary, Dictionary) else dictionary
     return HarmonicPatternFamily(D, axis, stft_cfg.sigma_nil,
-                                 stft_cfg.window_length, b_max=b_max)
+                                 stft_cfg.window_length)
 
 
 def init_column(rng, n_har=DEFAULT_N_HAR):
@@ -228,7 +225,7 @@ def _prune(dictionary, state, rng):
 
 def train(U, n_ins, n_spr, n_trn, seed, *, n_har=DEFAULT_N_HAR,
           prune_interval=DEFAULT_PRUNE_INTERVAL, axis=None, stft_cfg=None,
-          b_max=DEFAULT_B_MAX, pursuit_overrides=None):
+          pursuit_overrides=None):
     """Learn a dictionary from a log-frequency spectrogram.
 
     Runs ``n_trn`` stochastic steps: draw a random frame, identify
@@ -256,13 +253,11 @@ def train(U, n_ins, n_spr, n_trn, seed, *, n_har=DEFAULT_N_HAR,
     kept = np.arange(n_ins)
     for step in range(n_trn):
         t = int(rng.integers(n_frames))
-        family = harmonic_family(dictionary, axis=axis, stft_cfg=stft_cfg,
-                                 b_max=b_max)
+        family = harmonic_family(dictionary, axis=axis, stft_cfg=stft_cfg)
         result = pursue(U.values[:, t], family, cfg)
-        if result.atoms:
+        if len(result.atoms):
             state.amp_acc += result.amplitude_sums
-            arrays = atoms_to_arrays(result.atoms, family.n_params)
-            _, _, _, _, g = loss(U.values[:, t], arrays, family, cfg,
+            _, _, _, _, g = loss(U.values[:, t], result.atoms, family, cfg,
                                  with_dict_grad=True)
             adam_step(dictionary.D, state.adam, g)
         if (step + 1) % prune_interval == 0:

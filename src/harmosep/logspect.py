@@ -15,13 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FormatError
-from .kernels import gaussian_accumulate, gaussian_adjoint, gaussian_forward
+from .kernels import (CUTOFF_SIGMAS, gaussian_accumulate, gaussian_adjoint,
+                      gaussian_forward)
 # Unused here, but kept bound: perfbench/tracer.py times each kernel
 # under the name of the module that calls it.
 from .kernels import gaussian_backprop  # noqa: F401
 from .optim import BoxSpec
 from .pursuit import PursuitConfig, pursue
 from .stft import LogAxis, SpectrogramGrid, StftConfig
+
+#: Bounds of the width parameter of both pattern families, as multiples
+#: of the analysis window's own Fourier width sigma_nil.
+WIDTH_RANGE = (0.25, 4.0)
+
 
 #: Conversion from the width parameter sigma (in cycles/sample, the
 #: Fourier std of the analysis window) to frequency bins: one bin is
@@ -55,23 +61,17 @@ class GaussianPeakFamily:
     n_patterns = 1
     n_params = 1
 
-    def __init__(self, sigma_nil, bin_scale, width_range=(0.25, 4.0)):
+    def __init__(self, sigma_nil, bin_scale):
         self.sigma_nil = float(sigma_nil)
         self.bin_scale = float(bin_scale)
         self.theta_nil = np.array([self.sigma_nil])
         self.theta_box = BoxSpec(
-            np.array([width_range[0] * self.sigma_nil]),
-            np.array([width_range[1] * self.sigma_nil]),
+            np.array([WIDTH_RANGE[0] * self.sigma_nil]),
+            np.array([WIDTH_RANGE[1] * self.sigma_nil]),
         )
 
     def _stds(self, thetas):
         return thetas[:, 0] * self.bin_scale
-
-    def evaluate(self, eta, theta, s):
-        theta = np.asarray(theta, dtype=np.float64)
-        std = theta[0] * self.bin_scale
-        return np.exp(-np.asarray(s, dtype=np.float64) ** 2
-                      / (2.0 * std**2))
 
     def accumulate(self, out, amps, shifts, etas, thetas):
         gaussian_accumulate(out, shifts, amps, self._stds(thetas))
@@ -86,13 +86,13 @@ class GaussianPeakFamily:
 
     def sampled_pattern(self, eta):
         std = self.sigma_nil * self.bin_scale
-        hw = int(np.ceil(8.0 * std)) + 1
+        hw = int(np.ceil(CUTOFF_SIGMAS * std)) + 1
         offsets = np.arange(-hw, hw + 1)
         return offsets, np.exp(-offsets.astype(np.float64) ** 2
                                / (2.0 * std**2))
 
     def support_halfwidth(self):
-        return 8.0 * self.theta_box.upper[0] * self.bin_scale
+        return CUTOFF_SIGMAS * self.theta_box.upper[0] * self.bin_scale
 
 
 def gaussian_family(stft_cfg=None):
@@ -122,7 +122,7 @@ def to_log_spectrogram(Z, axis=None, stft_cfg=None, pursuit_cfg=None):
     each identified peak as a Gaussian of unchanged amplitude and bin
     width at alpha(mu).  Peaks at non-positive frequencies or outside
     the representable octave range are dropped.  Returns ``(U,
-    atoms_per_frame)``.
+    atoms_per_frame)``, with the pursuit's :class:`Atoms` of each frame.
     """
     if axis is None:
         axis = LogAxisConfig()
@@ -137,21 +137,15 @@ def to_log_spectrogram(Z, axis=None, stft_cfg=None, pursuit_cfg=None):
     U = np.zeros((m, n_frames))
     atoms_per_frame = []
     for t in range(n_frames):
-        result = pursue(Z.values[:, t], family, pursuit_cfg)
-        atoms_per_frame.append(result.atoms)
-        centers, amps, stds = [], [], []
-        for atom in result.atoms:
-            if atom.shift <= 0.0:
-                continue
-            alpha = axis.alpha(atom.shift)
-            if alpha < 0.0 or alpha >= m:
-                continue
-            centers.append(alpha)
-            amps.append(atom.amplitude)
-            stds.append(atom.params[0] * bin_scale)
-        if centers:
-            gaussian_accumulate(U[:, t], np.array(centers), np.array(amps),
-                                np.array(stds))
+        atoms = pursue(Z.values[:, t], family, pursuit_cfg).atoms
+        atoms_per_frame.append(atoms)
+        positive = atoms.mu > 0.0
+        alpha = axis.alpha(atoms.mu[positive])
+        inside = (alpha >= 0.0) & (alpha < m)
+        if np.any(inside):
+            gaussian_accumulate(U[:, t], alpha[inside],
+                                atoms.a[positive][inside],
+                                atoms.theta[positive, 0][inside] * bin_scale)
     grid = SpectrogramGrid(U, LogAxis(axis.f0, axis.alpha0),
                            Z.frame_period_s)
     return grid, atoms_per_frame

@@ -45,7 +45,9 @@ def project(x, basis):
         raise DomainError("cannot project a zero-length signal")
     if B.shape[1] != x.shape[0]:
         raise DomainError("basis and signal lengths differ")
-    coef, *_ = np.linalg.lstsq(B @ B.T, B @ x, rcond=None)
+    # Least squares on B^T itself: the normal equations B B^T square the
+    # condition number and lose components along nearly parallel rows.
+    coef, *_ = np.linalg.lstsq(B.T, x, rcond=None)
     return coef @ B
 
 

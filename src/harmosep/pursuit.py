@@ -13,6 +13,13 @@ with q in (0, 1].  Per pattern index, only the ``n_spr`` strongest
 atoms are kept; the loop stops once an iteration fails to shrink the
 loss by the factor ``1 - lam``.
 
+Atoms exist in one form only, :class:`Atoms`: parallel arrays of
+amplitudes ``a``, shifts ``mu``, pattern indices ``eta`` and parameter
+rows ``theta``.  The pursuit refines them in place, :func:`pursue`
+returns them in its :class:`PursuitResult`, and :func:`loss`, the
+spectrogram transform, dictionary training and separation all read
+them as they are.
+
 Pattern families are duck-typed; see :class:`GaussianPeakFamily` in
 :mod:`harmosep.logspect` for the reference implementation.  Required
 surface::
@@ -77,40 +84,34 @@ class PursuitConfig:
         return max(1, 2 * self.n_spr * n_patterns)
 
 
-@dataclass
-class PursuitAtom:
-    amplitude: float
-    shift: float
-    pattern: int
-    params: np.ndarray
+@dataclass(eq=False)
+class Atoms:
+    """The atoms of a pursuit as parallel arrays: amplitudes ``a``,
+    shifts ``mu``, pattern indices ``eta`` (int64) and parameter rows
+    ``theta`` of shape ``(n, n_params)``."""
 
+    a: np.ndarray
+    mu: np.ndarray
+    eta: np.ndarray
+    theta: np.ndarray
 
-@dataclass
-class PursuitResult:
-    atoms: list
-    amplitude_sums: np.ndarray
-    loss: float
+    def __post_init__(self):
+        self.a = np.asarray(self.a, dtype=np.float64)
+        self.mu = np.asarray(self.mu, dtype=np.float64)
+        self.eta = np.asarray(self.eta, dtype=np.int64)
+        self.theta = np.asarray(self.theta, dtype=np.float64)
 
-
-class _AtomSet:
-    """Mutable struct-of-arrays view of the current atoms."""
-
-    def __init__(self, n_params):
-        self.a = np.zeros(0)
-        self.mu = np.zeros(0)
-        self.eta = np.zeros(0, dtype=np.int64)
-        self.theta = np.zeros((0, n_params))
+    @classmethod
+    def empty(cls, n_params):
+        return cls(np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.int64),
+                   np.zeros((0, n_params)))
 
     def __len__(self):
         return len(self.a)
 
     def copy(self):
-        out = _AtomSet(self.theta.shape[1])
-        out.a = self.a.copy()
-        out.mu = self.mu.copy()
-        out.eta = self.eta.copy()
-        out.theta = self.theta.copy()
-        return out
+        return Atoms(self.a.copy(), self.mu.copy(), self.eta.copy(),
+                     self.theta.copy())
 
     def extend(self, a, mu, eta, theta):
         self.a = np.concatenate([self.a, a])
@@ -123,6 +124,13 @@ class _AtomSet:
         self.mu = self.mu[mask]
         self.eta = self.eta[mask]
         self.theta = self.theta[mask]
+
+
+@dataclass
+class PursuitResult:
+    atoms: Atoms
+    amplitude_sums: np.ndarray
+    loss: float
 
 
 def _model(length, atoms, family):
@@ -309,7 +317,7 @@ def pursue(Y, family, cfg):
         raise DomainError("pursuit input must be nonnegative")
     target = _Target(Y, cfg)
     selector = _SELECTORS[cfg.selector]
-    atoms = _AtomSet(family.n_params)
+    atoms = Atoms.empty(family.n_params)
     prev_loss, *_ = loss(target, atoms, family, cfg)
     hw = family.support_halfwidth()
     # Noise floor in lifted amplitude units, relative to the frame peak.
@@ -342,20 +350,5 @@ def pursue(Y, family, cfg):
         prev_loss = cur_loss
     amp_sums = np.zeros(family.n_patterns)
     np.add.at(amp_sums, atoms.eta, atoms.a)
-    result_atoms = [PursuitAtom(float(a), float(mu), int(eta), th.copy())
-                    for a, mu, eta, th in
-                    zip(atoms.a, atoms.mu, atoms.eta, atoms.theta)]
     final_loss, *_ = loss(target, atoms, family, cfg)
-    return PursuitResult(result_atoms, amp_sums, final_loss)
-
-
-def atoms_to_arrays(atoms, n_params):
-    """Convert a list of :class:`PursuitAtom` back to the internal
-    struct-of-arrays form (used when re-evaluating the loss)."""
-    out = _AtomSet(n_params)
-    if atoms:
-        out.a = np.array([at.amplitude for at in atoms], dtype=np.float64)
-        out.mu = np.array([at.shift for at in atoms], dtype=np.float64)
-        out.eta = np.array([at.pattern for at in atoms], dtype=np.int64)
-        out.theta = np.array([at.params for at in atoms], dtype=np.float64)
-    return out
+    return PursuitResult(atoms, amp_sums, final_loss)

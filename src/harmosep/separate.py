@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictlearn import HarmonicPatternFamily, harmonic_family, \
-    training_config
+from .dictlearn import harmonic_family, training_config
 from .errors import DomainError
 from .kernels import gaussian_accumulate
 from .logspect import LogAxisConfig
@@ -24,7 +23,7 @@ MASK_EPSILON = 1e-12
 
 @dataclass
 class SeparationResult:
-    atoms_per_frame: list        # pursuit atoms; pattern indexes the kept set
+    atoms_per_frame: list        # Atoms per frame; eta indexes the kept set
     inst_spectrograms: list      # linear-axis SpectrogramGrid per instrument
     masked_spectrograms: list    # same shape, after spectral masking
     signals: list                # one AudioClip per instrument
@@ -41,13 +40,13 @@ def reconstruct_instrument(atoms_per_frame, eta, family, axis, shape):
     h = np.arange(1, family.n_har + 1, dtype=np.float64)
     out = np.zeros(shape)
     for t, atoms in enumerate(atoms_per_frame):
-        for atom in atoms:
-            if atom.pattern != eta:
-                continue
-            sigma, b = atom.params
-            f1 = axis.frequency(atom.shift)
+        for j in np.flatnonzero(atoms.eta == eta):
+            sigma, b = atoms.theta[j]
+            # A Python float: 2.0 ** x on it rounds as libm's pow does,
+            # which NumPy's vectorised power does not always match.
+            f1 = axis.frequency(float(atoms.mu[j]))
             centers = np.sqrt(1.0 + b * h**2) * h * f1
-            amps = atom.amplitude * family.D[:, eta]
+            amps = atoms.a[j] * family.D[:, eta]
             stds = np.full(family.n_har, sigma * family.bin_scale)
             gaussian_accumulate(out[:, t], centers, amps, stds)
     return out
@@ -80,9 +79,8 @@ def separate(U, Z, phase, dictionary, kept, n_spr, *, axis=None,
         raise DomainError("log and linear spectrograms disagree in frames")
     if Z.values.shape != phase.shape:
         raise DomainError("magnitude and phase grids differ in shape")
-    base = harmonic_family(dictionary, axis=axis, stft_cfg=stft_cfg)
-    family = HarmonicPatternFamily(base.D[:, kept], axis, base.sigma_nil,
-                                   base.bin_scale)
+    family = harmonic_family(dictionary.D[:, kept], axis=axis,
+                             stft_cfg=stft_cfg)
     cfg = training_config(n_spr, family.n_patterns,
                           **(pursuit_overrides or {}))
     atoms_per_frame = [pursue(U.values[:, t], family, cfg).atoms

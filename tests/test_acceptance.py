@@ -20,8 +20,7 @@ from harmosep.logspect import (GaussianPeakFamily, LogAxisConfig,
                                to_log_spectrogram, transform_config)
 from harmosep.metrics import bss_eval
 from harmosep.optim import AdamState, adam_step
-from harmosep.pursuit import (PursuitAtom, PursuitConfig, atoms_to_arrays,
-                              loss, pursue)
+from harmosep.pursuit import Atoms, PursuitConfig, loss, pursue
 from harmosep.separate import separate
 from harmosep.stft import StftConfig, griffin_lim, stft_complex, \
     stft_magnitude
@@ -56,10 +55,11 @@ def test_criterion_1_pursuit_exactness():
                         selector="xcorr", max_evals=500)
     res = pursue(Y, family, cfg)
     assert len(res.atoms) == 2
-    got = sorted(res.atoms, key=lambda atom: atom.shift)
-    for atom, (shift, amp) in zip(got, ((60.25, 1.0), (130.6, 0.55))):
-        assert atom.shift == pytest.approx(shift, abs=1e-4)
-        assert atom.amplitude == pytest.approx(amp, abs=1e-4)
+    order = np.argsort(res.atoms.mu)
+    got = zip(res.atoms.mu[order], res.atoms.a[order])
+    for (mu, a), (shift, amp) in zip(got, ((60.25, 1.0), (130.6, 0.55))):
+        assert mu == pytest.approx(shift, abs=1e-4)
+        assert a == pytest.approx(amp, abs=1e-4)
     assert res.loss < 1e-8
     assert time.monotonic() - start < 5.0
 
@@ -78,14 +78,13 @@ def test_criterion_2_analytic_gradients():
                                  stft_cfg=stft_cfg)
         Y = np.abs(rng.normal(size=n)) * 0.1
         n_atoms = int(rng.integers(1, 3))
-        atoms = [PursuitAtom(float(rng.uniform(0.5, 2.0)),
-                             float(rng.uniform(20.0, 100.0)),
-                             int(rng.integers(0, 2)),
-                             np.array([float(rng.uniform(0.5, 2.0))
-                                       * family.sigma_nil,
-                                       float(rng.uniform(0.0, 2e-4))]))
+        atoms = [(float(rng.uniform(0.5, 2.0)),
+                  float(rng.uniform(20.0, 100.0)),
+                  int(rng.integers(0, 2)),
+                  [float(rng.uniform(0.5, 2.0)) * family.sigma_nil,
+                   float(rng.uniform(0.0, 2e-4))])
                  for _ in range(n_atoms)]
-        arrays = atoms_to_arrays(atoms, family.n_params)
+        arrays = Atoms(*zip(*atoms))
         _, g_a, g_mu, g_th, g_D = loss(Y, arrays, family, cfg,
                                        with_dict_grad=True)
 
@@ -144,14 +143,13 @@ def test_criterion_4_inharmonicity_fit():
     cfg = training_config(1, 1, max_evals=400)
     res = pursue(frame, family, cfg)
     assert len(res.atoms) == 1
-    atom = res.atoms[0]
-    b_hat = atom.params[1]
+    b_hat = res.atoms.theta[0, 1]
     assert b_hat == pytest.approx(b_true, rel=0.2)
 
     f1_bins = f1_hz / DESK_STFT.bin_hz
     h = np.arange(1, n_har + 1, dtype=np.float64)
     true_alpha = axis.alpha(np.sqrt(1.0 + b_true * h**2) * h * f1_bins)
-    predicted = atom.shift + family.partial_offsets(b_hat)
+    predicted = res.atoms.mu[0] + family.partial_offsets(b_hat)
     measured = np.array([_peak_centroid(frame, t) for t in true_alpha])
     assert np.all(np.abs(predicted - measured) < 1.0)
     assert time.monotonic() - start < 60.0

@@ -7,8 +7,7 @@ from harmosep.dictlearn import (Dictionary, TrainState, harmonic_family,
 from harmosep.errors import ConfigError, DomainError, FormatError
 from harmosep.logspect import LogAxisConfig
 from harmosep.optim import AdamState
-from harmosep.pursuit import PursuitAtom, PursuitConfig, atoms_to_arrays, \
-    loss
+from harmosep.pursuit import Atoms, PursuitConfig, loss
 from harmosep.stft import LogAxis, SpectrogramGrid
 
 
@@ -91,9 +90,8 @@ def test_dict_gradient_matches_finite_differences(rng):
     fam = harmonic_family(Dictionary(D))
     cfg = PursuitConfig(q=0.5)
     Y = np.abs(rng.normal(size=1024)) * 0.1
-    atoms = [PursuitAtom(0.8, 400.3, 0, fam.theta_nil.copy()),
-             PursuitAtom(0.6, 550.1, 1, np.array([fam.sigma_nil, 1e-4]))]
-    arrays = atoms_to_arrays(atoms, 2)
+    arrays = Atoms([0.8, 0.6], [400.3, 550.1], [0, 1],
+                   [fam.theta_nil, [fam.sigma_nil, 1e-4]])
     _, _, _, _, gD = loss(Y, arrays, fam, cfg, with_dict_grad=True)
     h = 1e-6
     for hh in range(6):

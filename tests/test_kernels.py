@@ -6,8 +6,7 @@ from hypothesis.extra.numpy import arrays
 from harmosep.kernels import (CUTOFF_SIGMAS, gaussian_accumulate,
                               gaussian_adjoint, gaussian_forward)
 from harmosep.logspect import GaussianPeakFamily
-from harmosep.pursuit import PursuitAtom, PursuitConfig, atoms_to_arrays, \
-    loss
+from harmosep.pursuit import Atoms, PursuitConfig, loss
 
 LENGTH = 120
 
@@ -120,8 +119,7 @@ def test_span_loss_equals_full_length_reference(Y, bumps, q):
     mu, a, stds = bumps
     family = GaussianPeakFamily(sigma_nil=1.0, bin_scale=1.0)
     cfg = PursuitConfig(q=q)
-    atoms = atoms_to_arrays([PursuitAtom(a[k], mu[k], 0, stds[k:k + 1])
-                             for k in range(len(a))], 1)
+    atoms = Atoms(a, mu, np.zeros(len(a), dtype=np.int64), stds[:, None])
     value, g_a, g_mu, g_theta = loss(Y, atoms, family, cfg)
     ref = _reference_loss(Y, a, mu, stds, q, cfg.delta)
     # Same arithmetic in the same order: equal to the last bit.

@@ -21,15 +21,18 @@ def test_axis_mapping_constants():
 
 
 def test_gaussian_family_shape():
+    # The family renders its peaks with the shared kernel; at theta_nil
+    # that is a unit Gaussian of the analysis window's bin width.
     cfg = StftConfig()
     fam = gaussian_family(cfg)
-    assert fam.evaluate(0, fam.theta_nil, 0.0) == 1.0
-    s = np.array([0.7, -0.7, 3.1, -3.1])
-    v = fam.evaluate(0, fam.theta_nil, s)
-    assert np.allclose(v[::2], v[1::2])
+    std = np.array([fam.theta_nil[0] * cfg.window_length])
+    v = sample_gaussian(np.array([50.0]), np.ones(1), std, 101)
+    assert v[50] == 1.0
+    assert np.array_equal(v[:50], v[51:][::-1])
     # half height at the closed-form half-width
     halfwidth = fam.sigma_nil * cfg.window_length * np.sqrt(2 * np.log(2))
-    assert fam.evaluate(0, fam.theta_nil, halfwidth) == pytest.approx(0.5)
+    v = sample_gaussian(np.array([50.0 - halfwidth]), np.ones(1), std, 101)
+    assert v[50] == pytest.approx(0.5)
 
 
 def test_gaussian_family_box():
@@ -53,9 +56,9 @@ def test_single_line_maps_to_expected_log_bin():
     U, atoms = to_log_spectrogram(Z, pursuit_cfg=transform_config(n_itr=3))
     assert U.values.shape == (1024, 3)
     for frame_atoms in atoms:
-        tops = [a for a in frame_atoms if a.amplitude > 0.5]
+        tops = frame_atoms.mu[frame_atoms.a > 0.5]
         assert len(tops) == 1
-        alpha = LogAxisConfig().alpha(tops[0].shift)
+        alpha = LogAxisConfig().alpha(tops[0])
         assert alpha == pytest.approx(102.4, abs=0.1)
     assert abs(np.argmax(U.values[:, 1]) - 102) <= 1
 
@@ -65,10 +68,9 @@ def test_two_lines_log_distance():
     Z = _line_grid([f1, f2], [1.0, 0.8])
     U, atoms = to_log_spectrogram(Z, pursuit_cfg=transform_config(n_itr=3))
     axis = LogAxisConfig()
-    strong = sorted((a for a in atoms[0] if a.amplitude > 0.4),
-                    key=lambda a: a.shift)
+    strong = np.sort(atoms[0].mu[atoms[0].a > 0.4])
     assert len(strong) == 2
-    d = axis.alpha(strong[1].shift) - axis.alpha(strong[0].shift)
+    d = axis.alpha(strong[1]) - axis.alpha(strong[0])
     assert d == pytest.approx(102.4 * np.log2(f2 / f1), abs=0.2)
 
 

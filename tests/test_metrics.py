@@ -32,6 +32,15 @@ def test_project_residual_orthogonality(rng):
         assert abs(r @ b) < 1e-8 * np.linalg.norm(r) * np.linalg.norm(b)
 
 
+def test_project_keeps_component_along_nearly_parallel_rows():
+    # The normal equations B B^T square the condition number (here about
+    # 1e9) and lost this in-span component entirely.
+    basis = np.array([[1.0, 0.0, 0.0], [1.0, 1e-9, 0.0]])
+    x = basis[1] - basis[0]
+    err = np.linalg.norm(project(x, basis) - x) / np.linalg.norm(x)
+    assert err < 1e-5
+
+
 def test_project_rejects_empty():
     with pytest.raises(DomainError):
         project(np.zeros(0), np.zeros((1, 0)))

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from harmosep.dictlearn import Dictionary, harmonic_family
 from harmosep.errors import DomainError
 from harmosep.kernels import sample_gaussian
 from harmosep.logspect import GaussianPeakFamily
-from harmosep.pursuit import (PursuitAtom, PursuitConfig, atoms_to_arrays,
-                              loss, pursue, select_peaks, select_xcorr)
+from harmosep.pursuit import (Atoms, PursuitConfig, loss, pursue,
+                              select_peaks, select_xcorr)
 
 
 def family(sigma_nil=2.0):
@@ -28,7 +31,7 @@ def test_loss_of_empty_model_is_lifted_energy():
     fam = family()
     cfg = PursuitConfig(q=0.5, delta=1e-10)
     Y = np.abs(np.random.default_rng(0).normal(size=50))
-    v, g_a, g_mu, g_th = loss(Y, atoms_to_arrays([], 1), fam, cfg)
+    v, g_a, g_mu, g_th = loss(Y, Atoms.empty(1), fam, cfg)
     expect = np.sum(((Y + cfg.delta) ** 0.5 - cfg.delta ** 0.5) ** 2)
     assert v == pytest.approx(expect)
     assert len(g_a) == 0
@@ -38,9 +41,7 @@ def test_loss_gradients_match_finite_differences(rng):
     fam = family()
     cfg = PursuitConfig(q=0.5)
     Y = np.abs(rng.normal(size=120)) * 0.1
-    atoms = [PursuitAtom(0.8, 30.3, 0, np.array([2.4])),
-             PursuitAtom(1.3, 77.9, 0, np.array([1.6]))]
-    arrays = atoms_to_arrays(atoms, 1)
+    arrays = Atoms([0.8, 1.3], [30.3, 77.9], [0, 0], [[2.4], [1.6]])
     _, g_a, g_mu, g_th = loss(Y, arrays, fam, cfg)
     h = 1e-6
     for j in range(2):
@@ -123,11 +124,12 @@ def test_pursue_recovers_two_atoms_exactly():
                         selector="xcorr", max_evals=500)
     res = pursue(Y, fam, cfg)
     assert len(res.atoms) == 2
-    got = sorted(res.atoms, key=lambda at: at.shift)
-    assert got[0].shift == pytest.approx(60.25, abs=1e-4)
-    assert got[0].amplitude == pytest.approx(1.0, abs=1e-4)
-    assert got[1].shift == pytest.approx(130.6, abs=1e-4)
-    assert got[1].amplitude == pytest.approx(0.55, abs=1e-4)
+    order = np.argsort(res.atoms.mu)
+    mu, a = res.atoms.mu[order], res.atoms.a[order]
+    assert mu[0] == pytest.approx(60.25, abs=1e-4)
+    assert a[0] == pytest.approx(1.0, abs=1e-4)
+    assert mu[1] == pytest.approx(130.6, abs=1e-4)
+    assert a[1] == pytest.approx(0.55, abs=1e-4)
     assert res.loss < 1e-8
     assert res.amplitude_sums[0] == pytest.approx(1.55, abs=1e-3)
 
@@ -145,7 +147,7 @@ def test_pursue_respects_sparsity_budget():
 def test_pursue_zero_input_yields_no_atoms():
     fam = family()
     res = pursue(np.zeros(100), fam, PursuitConfig())
-    assert res.atoms == []
+    assert len(res.atoms) == 0
     assert res.amplitude_sums[0] == 0.0
 
 
@@ -173,3 +175,61 @@ def test_pursue_termination_restores_previous_atoms():
                         selector="xcorr")
     res = pursue(Y, fam, cfg)
     assert len(res.atoms) == 1
+
+
+def _harmonic_family():
+    D = np.array([[1.0, 0.6], [0.5, 1.0], [0.2, 0.3]])
+    return harmonic_family(Dictionary(D))
+
+
+_FAMILIES = {"peak": family, "harmonic": _harmonic_family}
+
+
+@st.composite
+def _pursuit_problems(draw, length=260):
+    """A family, a frame of its own atoms plus nonnegative noise, and a
+    pursuit configuration."""
+    fam = _FAMILIES[draw(st.sampled_from(sorted(_FAMILIES)))]()
+    n = draw(st.integers(0, 4))
+
+    def floats(lo, hi):
+        return st.lists(st.floats(lo, hi), min_size=n, max_size=n)
+
+    lower, upper = fam.theta_box.lower, fam.theta_box.upper
+    theta = lower + (upper - lower) * np.array(
+        draw(st.lists(floats(0.0, 1.0), min_size=fam.n_params,
+                      max_size=fam.n_params))).reshape(fam.n_params, n).T
+    Y = np.zeros(length)
+    if n:
+        fam.accumulate(Y, np.array(draw(floats(0.0, 2.0))),
+                       np.array(draw(floats(0.0, length - 1.0))),
+                       np.array(draw(st.lists(
+                           st.integers(0, fam.n_patterns - 1),
+                           min_size=n, max_size=n)), dtype=np.int64),
+                       theta)
+    Y += draw(arrays(np.float64, length, elements=st.floats(0.0, 0.05)))
+    cfg = PursuitConfig(q=draw(st.sampled_from([0.5, 1.0])),
+                        lam=draw(st.sampled_from([0.9, 1.0])),
+                        n_pre=draw(st.integers(1, 3)),
+                        n_spr=draw(st.integers(1, 2)),
+                        n_itr=draw(st.integers(1, 4)),
+                        selector=draw(st.sampled_from(["xcorr", "peaks"])),
+                        max_evals=40)
+    return fam, Y, cfg
+
+
+@settings(max_examples=40, deadline=None)
+@given(_pursuit_problems())
+def test_pursue_invariants(problem):
+    fam, Y, cfg = problem
+    res = pursue(Y, fam, cfg)
+    atoms = res.atoms
+    n_pat = fam.n_patterns
+    assert np.all(atoms.a >= 0.0)
+    assert atoms.theta.shape == (len(atoms), fam.n_params)
+    assert np.all((atoms.theta >= fam.theta_box.lower)
+                  & (atoms.theta <= fam.theta_box.upper))
+    assert np.all(np.bincount(atoms.eta, minlength=n_pat) <= cfg.n_spr)
+    assert res.loss <= loss(Y, Atoms.empty(fam.n_params), fam, cfg)[0]
+    assert np.array_equal(res.amplitude_sums,
+                          np.bincount(atoms.eta, atoms.a, minlength=n_pat))

@@ -4,7 +4,7 @@ import pytest
 from harmosep.dictlearn import Dictionary, harmonic_family
 from harmosep.errors import DomainError
 from harmosep.logspect import LogAxisConfig
-from harmosep.pursuit import PursuitAtom
+from harmosep.pursuit import Atoms
 from harmosep.separate import (MASK_EPSILON, apply_mask,
                                reconstruct_instrument, separate)
 from harmosep.stft import LinearAxis, LogAxis, SpectrogramGrid, StftConfig
@@ -19,9 +19,8 @@ def test_reconstruct_single_partial_atom():
     D[0, 0] = 1.0
     fam = _family(D)
     axis = LogAxisConfig()
-    atom = PursuitAtom(2.0, axis.alpha(10.24), 0,
-                       np.array([fam.sigma_nil, 0.0]))
-    out = reconstruct_instrument([[atom]], 0, fam, axis, (100, 1))
+    atom = Atoms([2.0], [axis.alpha(10.24)], [0], [[fam.sigma_nil, 0.0]])
+    out = reconstruct_instrument([atom], 0, fam, axis, (100, 1))
     assert out[10, 0] == pytest.approx(2.0, rel=1e-2)
     assert np.argmax(out[:, 0]) == 10
 
@@ -31,9 +30,8 @@ def test_reconstruct_partials_at_harmonic_bins():
     D[:, 0] = [1.0, 0.5, 0.25]
     fam = _family(D)
     axis = LogAxisConfig()
-    atom = PursuitAtom(1.0, axis.alpha(50.0), 0,
-                       np.array([fam.sigma_nil, 0.0]))
-    out = reconstruct_instrument([[atom]], 0, fam, axis, (400, 1))
+    atom = Atoms([1.0], [axis.alpha(50.0)], [0], [[fam.sigma_nil, 0.0]])
+    out = reconstruct_instrument([atom], 0, fam, axis, (400, 1))
     for h, amp in ((1, 1.0), (2, 0.5), (3, 0.25)):
         assert out[50 * h, 0] == pytest.approx(amp, rel=2e-2)
 
@@ -41,8 +39,8 @@ def test_reconstruct_partials_at_harmonic_bins():
 def test_reconstruct_ignores_other_patterns():
     fam = _family(np.full((2, 2), 0.5))
     axis = LogAxisConfig()
-    atom = PursuitAtom(1.0, 300.0, 1, np.array([fam.sigma_nil, 0.0]))
-    out = reconstruct_instrument([[atom]], 0, fam, axis, (500, 1))
+    atom = Atoms([1.0], [300.0], [1], [[fam.sigma_nil, 0.0]])
+    out = reconstruct_instrument([atom], 0, fam, axis, (500, 1))
     assert np.all(out == 0.0)
 
 
@@ -51,9 +49,8 @@ def test_reconstruct_drops_partials_beyond_grid():
     fam = _family(D)
     axis = LogAxisConfig()
     # fundamental at bin 50: partials 6..10 land beyond a 300-bin grid
-    atom = PursuitAtom(1.0, axis.alpha(50.0), 0,
-                       np.array([fam.sigma_nil, 0.0]))
-    out = reconstruct_instrument([[atom]], 0, fam, axis, (300, 1))
+    atom = Atoms([1.0], [axis.alpha(50.0)], [0], [[fam.sigma_nil, 0.0]])
+    out = reconstruct_instrument([atom], 0, fam, axis, (300, 1))
     assert out[250, 0] == pytest.approx(1.0, rel=2e-2)
     assert np.all(np.isfinite(out))
 
