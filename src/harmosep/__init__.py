@@ -7,16 +7,15 @@ from .dictlearn import (Dictionary, HarmonicPatternFamily, harmonic_family,
                         train)
 from .errors import (ConfigError, DomainError, FormatError, HarmosepError,
                      OptimizationError)
-from .logspect import (GaussianPeakFamily, LogAxisConfig, gaussian_family,
-                       load_log_cache, save_log_cache, to_log_spectrogram,
-                       transform_config)
+from .logspect import (GaussianPeakFamily, gaussian_family, load_log_cache,
+                       save_log_cache, to_log_spectrogram, transform_config)
 from .metrics import BssScores, bss_eval, format_report, project
 from .optim import AdamState, BoxSpec, adam_step, minimize_box
 from .pursuit import (Atoms, PursuitConfig, PursuitResult, loss, pursue,
                       select_peaks, select_xcorr)
 from .separate import (SeparationResult, apply_mask,
                        reconstruct_instrument, separate)
-from .stft import (SpectrogramGrid, StftConfig, griffin_lim, istft,
+from .stft import (LogAxis, SpectrogramGrid, StftConfig, griffin_lim, istft,
                    save_pgm, stft_complex, stft_magnitude)
 
 __version__ = "0.1.0"

@@ -25,9 +25,8 @@ import numpy as np
 from . import dictlearn, fixtures, logspect, metrics
 from .audio import read_wav, write_wav
 from .errors import ConfigError, DomainError, FormatError, HarmosepError
-from .logspect import LogAxisConfig
 from .separate import separate
-from .stft import StftConfig, save_pgm, stft_magnitude
+from .stft import LogAxis, StftConfig, save_pgm, stft_magnitude
 
 DEFAULTS = {
     "hop": 256,
@@ -102,8 +101,8 @@ def stft_config(cfg, sample_rate_hz):
 
 
 def log_axis(cfg):
-    return LogAxisConfig(f0=cfg["f0"], alpha0=cfg["alpha0"],
-                         n_bins=cfg["log_bins"])
+    return LogAxis(f0=cfg["f0"], alpha0=cfg["alpha0"],
+                   n_bins=cfg["log_bins"])
 
 
 def _atomic_write(path, writer):
@@ -127,13 +126,14 @@ def _transform(clip, cfg):
     pursuit_cfg = logspect.transform_config(
         n_spr=cfg["transform_n_spr"], n_pre=cfg["transform_n_pre"],
         n_itr=cfg["transform_n_itr"])
-    U, _ = logspect.to_log_spectrogram(Z, log_axis(cfg), scfg, pursuit_cfg)
-    return U, Z, phase, scfg
+    U, _ = logspect.to_log_spectrogram(Z, log_axis(cfg),
+                                       pursuit_cfg=pursuit_cfg)
+    return U, Z, phase
 
 
 def cmd_transform(args, cfg):
     clip = read_wav(args.input)
-    U, _, _, _ = _transform(clip, cfg)
+    U, _, _ = _transform(clip, cfg)
     _atomic_write(args.output,
                   lambda tmp: logspect.save_log_cache(tmp, U))
     if args.pgm:
@@ -144,10 +144,12 @@ def cmd_transform(args, cfg):
 
 def cmd_train(args, cfg):
     U = logspect.load_log_cache(args.cache)
+    # The sample rate enters neither the peak width nor the window.
+    scfg = stft_config(cfg, StftConfig.sample_rate_hz)
     dictionary, kept = dictlearn.train(
         U, cfg["n_ins"], cfg["n_spr"], cfg["n_trn"], cfg["seed"],
         n_har=cfg["n_har"], prune_interval=cfg["prune_interval"],
-        axis=log_axis(cfg))
+        stft_cfg=scfg)
     _atomic_write(args.output,
                   lambda tmp: dictlearn.save_dictionary(tmp, dictionary,
                                                         kept))
@@ -159,9 +161,8 @@ def cmd_train(args, cfg):
 def cmd_separate(args, cfg):
     clip = read_wav(args.input)
     dictionary, kept = dictlearn.load_dictionary(args.dictionary)
-    U, Z, phase, scfg = _transform(clip, cfg)
+    U, Z, phase = _transform(clip, cfg)
     result = separate(U, Z, phase, dictionary, kept, cfg["n_spr"],
-                      axis=log_axis(cfg), stft_cfg=scfg,
                       use_mask=cfg["use_mask"], gl_iters=cfg["gl_iters"],
                       length=len(clip.samples))
     os.makedirs(args.outdir, exist_ok=True)

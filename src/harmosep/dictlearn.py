@@ -23,10 +23,10 @@ import numpy as np
 from .errors import ConfigError, DomainError, FormatError
 from .kernels import (CUTOFF_SIGMAS, gaussian_accumulate, gaussian_adjoint,
                       gaussian_backprop, gaussian_forward)
-from .logspect import WIDTH_RANGE, LogAxisConfig
+from .logspect import WIDTH_RANGE
 from .optim import AdamState, BoxSpec, adam_step
 from .pursuit import PursuitConfig, loss, pursue
-from .stft import StftConfig
+from .stft import LogAxis, StftConfig
 
 DEFAULT_N_HAR = 25
 DEFAULT_PRUNE_INTERVAL = 500
@@ -173,7 +173,7 @@ class HarmonicPatternFamily:
 def harmonic_family(dictionary, axis=None, stft_cfg=None):
     """Build the harmonic pattern family for a dictionary."""
     if axis is None:
-        axis = LogAxisConfig()
+        axis = LogAxis()
     if stft_cfg is None:
         stft_cfg = StftConfig()
     D = dictionary.D if isinstance(dictionary, Dictionary) else dictionary
@@ -195,18 +195,16 @@ def init_column(rng, n_har=DEFAULT_N_HAR):
 class TrainState:
     adam: AdamState
     amp_acc: np.ndarray          # cumulative identified amplitude per column
-    prune_interval: int
     head_start: int
     n_ins: int
 
 
-def training_config(n_spr, n_pat, **overrides):
+def training_config(n_spr, **overrides):
     """Pursuit hyperparameters for training and separation: lifted loss
     with q = 1/2, cross-correlation preselection of a single candidate
     per iteration."""
     defaults = dict(q=0.5, delta=1e-10, lam=0.9, n_pre=1, n_spr=n_spr,
-                    n_itr=2 * n_spr * n_pat, selector="xcorr",
-                    max_evals=200, floor_rel=1e-6)
+                    selector="xcorr", max_evals=200, floor_rel=1e-6)
     defaults.update(overrides)
     return PursuitConfig(**defaults)
 
@@ -224,10 +222,11 @@ def _prune(dictionary, state, rng):
 
 
 def train(U, n_ins, n_spr, n_trn, seed, *, n_har=DEFAULT_N_HAR,
-          prune_interval=DEFAULT_PRUNE_INTERVAL, axis=None, stft_cfg=None,
+          prune_interval=DEFAULT_PRUNE_INTERVAL, stft_cfg=None,
           pursuit_overrides=None):
     """Learn a dictionary from a log-frequency spectrogram.
 
+    Patterns live on ``U.axis``, with the peak width of ``stft_cfg``.
     Runs ``n_trn`` stochastic steps: draw a random frame, identify
     tones by pursuit, accumulate the found amplitudes, and take one
     modified-Adam step on the dictionary.  Every ``prune_interval``
@@ -245,15 +244,14 @@ def train(U, n_ins, n_spr, n_trn, seed, *, n_har=DEFAULT_N_HAR,
         np.stack([init_column(rng, n_har) for _ in range(n_pat)], axis=1))
     state = TrainState(adam=AdamState.zeros(n_har, n_pat),
                        amp_acc=np.zeros(n_pat),
-                       prune_interval=prune_interval,
                        head_start=prune_interval // 2,
                        n_ins=n_ins)
-    cfg = training_config(n_spr, n_pat, **(pursuit_overrides or {}))
+    cfg = training_config(n_spr, **(pursuit_overrides or {}))
     n_frames = U.values.shape[1]
     kept = np.arange(n_ins)
     for step in range(n_trn):
         t = int(rng.integers(n_frames))
-        family = harmonic_family(dictionary, axis=axis, stft_cfg=stft_cfg)
+        family = harmonic_family(dictionary, axis=U.axis, stft_cfg=stft_cfg)
         result = pursue(U.values[:, t], family, cfg)
         if len(result.atoms):
             state.amp_acc += result.amplitude_sums

@@ -3,14 +3,15 @@
 Each frame of the linear-frequency STFT magnitude spectrogram is
 decomposed into Gaussian peaks by the pursuit algorithm, and the peaks
 are re-rendered on a logarithmic frequency axis alpha(f) = alpha0 *
-log2(f / f0).  With the default constants (f0 = 5.12 bins, alpha0 =
-102.4, 1024 bins) the axis spans 10 octaves; at 48 kHz that is
-20 Hz .. 20.48 kHz.  Because a pitch change moves every partial by the
-same alpha offset, instrument sounds become shift-invariant patterns.
+log2(f / f0), a :class:`~harmosep.stft.LogAxis`.  With the default
+constants (f0 = 5.12 bins, alpha0 = 102.4, 1024 bins) the axis spans 10
+octaves; at 48 kHz that is 20 Hz .. 20.48 kHz.  Because a pitch change
+moves every partial by the same alpha offset, instrument sounds become
+shift-invariant patterns.  ``U.axis`` and the cache carry the axis, so
+training and separation read it from ``U``.
 """
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,19 +35,6 @@ WIDTH_RANGE = (0.25, 4.0)
 #: 1/window_length cycles/sample.
 def _bin_scale(stft_cfg):
     return stft_cfg.window_length
-
-
-@dataclass
-class LogAxisConfig:
-    f0: float = 5.12        # reference frequency in linear-bin units
-    alpha0: float = 102.4   # bins per octave
-    n_bins: int = 1024
-
-    def alpha(self, f_bins):
-        return self.alpha0 * np.log2(f_bins / self.f0)
-
-    def frequency(self, alpha):
-        return self.f0 * 2.0 ** (alpha / self.alpha0)
 
 
 class GaussianPeakFamily:
@@ -121,13 +109,14 @@ def to_log_spectrogram(Z, axis=None, stft_cfg=None, pursuit_cfg=None):
     Runs the Gaussian-peak pursuit independently per frame and renders
     each identified peak as a Gaussian of unchanged amplitude and bin
     width at alpha(mu).  Peaks at non-positive frequencies or outside
-    the representable octave range are dropped.  Returns ``(U,
-    atoms_per_frame)``, with the pursuit's :class:`Atoms` of each frame.
+    the representable octave range are dropped.  ``stft_cfg`` defaults
+    to ``Z.axis``.  Returns ``(U, atoms_per_frame)``, with ``U.axis``
+    the ``axis`` and the pursuit's :class:`Atoms` of each frame.
     """
     if axis is None:
-        axis = LogAxisConfig()
+        axis = LogAxis()
     if stft_cfg is None:
-        stft_cfg = StftConfig()
+        stft_cfg = Z.axis
     if pursuit_cfg is None:
         pursuit_cfg = transform_config()
     family = gaussian_family(stft_cfg)
@@ -146,9 +135,7 @@ def to_log_spectrogram(Z, axis=None, stft_cfg=None, pursuit_cfg=None):
             gaussian_accumulate(U[:, t], alpha[inside],
                                 atoms.a[positive][inside],
                                 atoms.theta[positive, 0][inside] * bin_scale)
-    grid = SpectrogramGrid(U, LogAxis(axis.f0, axis.alpha0),
-                           Z.frame_period_s)
-    return grid, atoms_per_frame
+    return SpectrogramGrid(U, axis, Z.frame_period_s), atoms_per_frame
 
 
 _CACHE_MAGIC = b"HSLS"
@@ -199,4 +186,4 @@ def load_log_cache(path):
         raise FormatError(f"cache values must be finite and nonnegative "
                           f"in {path}")
     values = data.reshape(m, n_frames).astype(np.float64)
-    return SpectrogramGrid(values, LogAxis(f0, alpha0), period)
+    return SpectrogramGrid(values, LogAxis(f0, alpha0, m), period)

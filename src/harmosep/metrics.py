@@ -60,10 +60,7 @@ def _db_ratio(num, den, scale):
     return 10.0 * np.log10(num / den)
 
 
-def _decompose(estimate, references, which):
-    R = references
-    proj_all = project(estimate, R)
-    ref = R[which]
+def _decompose(estimate, proj_all, ref):
     denom = float(ref @ ref)
     if denom == 0.0:
         s_target = np.zeros_like(ref)
@@ -109,8 +106,9 @@ def bss_eval(references, estimates):
         raise DomainError("all reference signals are silent")
     table = np.empty((n, n, 3))
     for i in range(n):
+        proj_all = project(E[i], R)
         for j in range(n):
-            table[i, j] = _decompose(E[i], R, j)
+            table[i, j] = _decompose(E[i], proj_all, R[j])
     best = None
     for perm in permutations(range(n)):
         sirs = np.array([table[i, perm[i], 1] for i in range(n)])

@@ -52,13 +52,12 @@ def minimize_box(objective, x0, box, max_evals=1000):
             best["f"] = f
         return f, np.asarray(g, dtype=np.float64)
 
-    wrapped(x0)
-    res = minimize(wrapped, x0, jac=True, method="L-BFGS-B",
-                   bounds=Bounds(box.lower, box.upper),
-                   options={"maxfun": max_evals, "maxiter": max_evals,
-                            "ftol": 1e-15, "gtol": 1e-12})
-    if res.fun < best["f"]:
-        best["x"], best["f"] = res.x, res.fun
+    # L-BFGS-B evaluates x0 first, and every point it returns went
+    # through ``wrapped``, so ``best`` already holds its result.
+    minimize(wrapped, x0, jac=True, method="L-BFGS-B",
+             bounds=Bounds(box.lower, box.upper),
+             options={"maxfun": max_evals, "maxiter": max_evals,
+                      "ftol": 1e-15, "gtol": 1e-12})
     return box.clip(best["x"]), best["f"]
 
 

@@ -11,7 +11,7 @@ against the lifted squared loss
 
 with q in (0, 1].  Per pattern index, only the ``n_spr`` strongest
 atoms are kept; the loop stops once an iteration fails to shrink the
-loss by the factor ``1 - lam``.
+loss by the factor ``1 - lam``, or after ``cfg.iterations(n_patterns)``.
 
 Atoms exist in one form only, :class:`Atoms`: parallel arrays of
 amplitudes ``a``, shifts ``mu``, pattern indices ``eta`` and parameter
@@ -21,8 +21,9 @@ spectrogram transform, dictionary training and separation all read
 them as they are.
 
 Pattern families are duck-typed; see :class:`GaussianPeakFamily` in
-:mod:`harmosep.logspect` for the reference implementation.  Required
-surface::
+:mod:`harmosep.logspect` for the reference implementation.  A family is
+built on the geometry of its grid (the harmonic family keeps the log
+axis as ``axis``).  Required surface::
 
     n_patterns, n_params : int
     theta_nil            : (n_params,) default parameters

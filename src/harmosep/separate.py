@@ -14,9 +14,8 @@ import numpy as np
 from .dictlearn import harmonic_family, training_config
 from .errors import DomainError
 from .kernels import gaussian_accumulate
-from .logspect import LogAxisConfig
 from .pursuit import pursue
-from .stft import LinearAxis, SpectrogramGrid, StftConfig, griffin_lim
+from .stft import SpectrogramGrid, griffin_lim
 
 MASK_EPSILON = 1e-12
 
@@ -29,13 +28,13 @@ class SeparationResult:
     signals: list                # one AudioClip per instrument
 
 
-def reconstruct_instrument(atoms_per_frame, eta, family, axis, shape):
+def reconstruct_instrument(atoms_per_frame, eta, family, shape):
     """Render one instrument's identified tones on the linear axis.
 
     Each atom of pattern ``eta`` contributes one Gaussian per partial,
     centered at ``sqrt(1 + b h^2) h f1`` bins (f1 recovered from the
-    log-axis shift) with the atom's bin-domain width; partials beyond
-    the grid end fall off the rasterizer.
+    shift on ``family.axis``) with the atom's bin-domain width; partials
+    beyond the grid end fall off the rasterizer.
     """
     h = np.arange(1, family.n_har + 1, dtype=np.float64)
     out = np.zeros(shape)
@@ -44,7 +43,7 @@ def reconstruct_instrument(atoms_per_frame, eta, family, axis, shape):
             sigma, b = atoms.theta[j]
             # A Python float: 2.0 ** x on it rounds as libm's pow does,
             # which NumPy's vectorised power does not always match.
-            f1 = axis.frequency(float(atoms.mu[j]))
+            f1 = family.axis.frequency(float(atoms.mu[j]))
             centers = np.sqrt(1.0 + b * h**2) * h * f1
             amps = atoms.a[j] * family.D[:, eta]
             stds = np.full(family.n_har, sigma * family.bin_scale)
@@ -52,26 +51,24 @@ def reconstruct_instrument(atoms_per_frame, eta, family, axis, shape):
     return out
 
 
-def apply_mask(inst, total, mixture, epsilon=MASK_EPSILON):
+def apply_mask(inst, total, mixture):
     """Rescale one instrument's model grid by its share of the mixture:
-    ``inst / (total + epsilon) * mixture`` elementwise."""
-    return inst / (total + epsilon) * mixture
+    ``inst / (total + MASK_EPSILON) * mixture`` elementwise."""
+    return inst / (total + MASK_EPSILON) * mixture
 
 
-def separate(U, Z, phase, dictionary, kept, n_spr, *, axis=None,
-             stft_cfg=None, use_mask=True, gl_iters=1, length=None,
-             pursuit_overrides=None):
+def separate(U, Z, phase, dictionary, kept, n_spr, *, stft_cfg=None,
+             use_mask=True, gl_iters=1, length=None, pursuit_overrides=None):
     """Separate a mixture into per-instrument audio clips.
 
     ``U`` is the mixture's log-frequency spectrogram, ``Z`` and
-    ``phase`` its linear magnitude and phase grids, ``kept`` the
-    dictionary columns to use and ``n_spr`` the per-instrument tone
-    budget per frame.  Outputs follow the order of ``kept``.
+    ``phase`` its linear magnitude and phase grids (``stft_cfg``
+    defaults to ``Z.axis``), ``kept`` the dictionary columns to use and
+    ``n_spr`` the per-instrument tone budget per frame.  Outputs follow
+    the order of ``kept``.
     """
-    if axis is None:
-        axis = LogAxisConfig()
     if stft_cfg is None:
-        stft_cfg = StftConfig()
+        stft_cfg = Z.axis
     kept = np.asarray(kept, dtype=np.int64)
     if len(kept) == 0:
         raise DomainError("no dictionary columns to separate with")
@@ -79,13 +76,12 @@ def separate(U, Z, phase, dictionary, kept, n_spr, *, axis=None,
         raise DomainError("log and linear spectrograms disagree in frames")
     if Z.values.shape != phase.shape:
         raise DomainError("magnitude and phase grids differ in shape")
-    family = harmonic_family(dictionary.D[:, kept], axis=axis,
+    family = harmonic_family(dictionary.D[:, kept], axis=U.axis,
                              stft_cfg=stft_cfg)
-    cfg = training_config(n_spr, family.n_patterns,
-                          **(pursuit_overrides or {}))
+    cfg = training_config(n_spr, **(pursuit_overrides or {}))
     atoms_per_frame = [pursue(U.values[:, t], family, cfg).atoms
                        for t in range(U.values.shape[1])]
-    parts = [reconstruct_instrument(atoms_per_frame, k, family, axis,
+    parts = [reconstruct_instrument(atoms_per_frame, k, family,
                                     Z.values.shape)
              for k in range(len(kept))]
     total = np.zeros_like(Z.values)
@@ -94,8 +90,7 @@ def separate(U, Z, phase, dictionary, kept, n_spr, *, axis=None,
     masked = [apply_mask(part, total, Z.values) for part in parts]
 
     def grid(values):
-        return SpectrogramGrid(values, LinearAxis(stft_cfg.bin_hz),
-                               Z.frame_period_s)
+        return SpectrogramGrid(values, stft_cfg, Z.frame_period_s)
 
     chosen = masked if use_mask else parts
     signals = [griffin_lim(grid(v), phase, gl_iters, stft_cfg,

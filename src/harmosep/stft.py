@@ -4,7 +4,9 @@ The analysis window is a Gaussian of standard deviation ``zeta``
 samples truncated at +/- ``halfwidth * zeta``; the FFT size equals the
 window length, so one frequency bin spans ``sample_rate / n_fft`` Hz
 (3.90625 Hz at 48 kHz with the default constants).  Magnitudes are not
-squared: the grid is positively homogeneous in the input signal.
+squared: the grid is positively homogeneous in the input signal.  A
+grid's ``axis`` is the :class:`StftConfig` that made it, or for a log
+spectrogram the :class:`LogAxis` it was rendered on.
 """
 
 from dataclasses import dataclass
@@ -52,20 +54,24 @@ class StftConfig:
 
 
 @dataclass
-class LinearAxis:
-    bin_hz: float
-
-
-@dataclass
 class LogAxis:
-    f0: float
-    alpha0: float
+    """alpha(f) = alpha0 * log2(f / f0), with f in linear STFT bins."""
+
+    f0: float = 5.12        # reference frequency in linear-bin units
+    alpha0: float = 102.4   # bins per octave
+    n_bins: int = 1024
+
+    def alpha(self, f_bins):
+        return self.alpha0 * np.log2(f_bins / self.f0)
+
+    def frequency(self, alpha):
+        return self.f0 * 2.0 ** (alpha / self.alpha0)
 
 
 @dataclass
 class SpectrogramGrid:
     values: np.ndarray
-    axis: object
+    axis: object             # StftConfig (linear) or LogAxis
     frame_period_s: float = 0.0
 
     n_bins = property(lambda self: self.values.shape[0])
@@ -127,8 +133,7 @@ def stft_magnitude(clip, cfg):
     phase angles, retained for Griffin-Lim initialization.
     """
     spec = stft_complex(clip.samples, cfg)
-    grid = SpectrogramGrid(np.abs(spec), LinearAxis(cfg.bin_hz),
-                           cfg.frame_period_s)
+    grid = SpectrogramGrid(np.abs(spec), cfg, cfg.frame_period_s)
     return grid, np.angle(spec)
 
 

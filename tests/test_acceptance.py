@@ -16,13 +16,13 @@ from harmosep.dictlearn import (Dictionary, harmonic_family, train,
                                 training_config)
 from harmosep.fixtures import two_instrument_fixture
 from harmosep.kernels import sample_gaussian
-from harmosep.logspect import (GaussianPeakFamily, LogAxisConfig,
-                               to_log_spectrogram, transform_config)
+from harmosep.logspect import (GaussianPeakFamily, to_log_spectrogram,
+                               transform_config)
 from harmosep.metrics import bss_eval
 from harmosep.optim import AdamState, adam_step
 from harmosep.pursuit import Atoms, PursuitConfig, loss, pursue
 from harmosep.separate import separate
-from harmosep.stft import StftConfig, griffin_lim, stft_complex, \
+from harmosep.stft import LogAxis, StftConfig, griffin_lim, stft_complex, \
     stft_magnitude
 
 DESK_STFT = StftConfig(hop_samples=2048)
@@ -67,7 +67,7 @@ def test_criterion_1_pursuit_exactness():
 def test_criterion_2_analytic_gradients():
     start = time.monotonic()
     rng = np.random.default_rng(7)
-    axis = LogAxisConfig()
+    axis = LogAxis()
     stft_cfg = StftConfig()
     cfg = PursuitConfig(q=0.5)
     n = 160
@@ -115,7 +115,7 @@ def test_criterion_2_analytic_gradients():
 
 def test_criterion_3_log_axis_covariance():
     start = time.monotonic()
-    axis = LogAxisConfig()
+    axis = LogAxis()
     centers = []
     for f_hz in (440.0, 880.0):
         tone = synth_harmonic_tone(f_hz, [1.0], 0.0, 1.0, 48000)
@@ -129,7 +129,7 @@ def test_criterion_3_log_axis_covariance():
 
 def test_criterion_4_inharmonicity_fit():
     start = time.monotonic()
-    axis = LogAxisConfig()
+    axis = LogAxis()
     b_true = 3.25e-4
     f1_hz = 196.0
     n_har = 10
@@ -140,7 +140,7 @@ def test_criterion_4_inharmonicity_fit():
 
     D = amplitudes[:, None]
     family = harmonic_family(Dictionary(D), axis=axis, stft_cfg=DESK_STFT)
-    cfg = training_config(1, 1, max_evals=400)
+    cfg = training_config(1, max_evals=400)
     res = pursue(frame, family, cfg)
     assert len(res.atoms) == 1
     b_hat = res.atoms.theta[0, 1]

@@ -3,11 +3,22 @@ import pytest
 
 from harmosep.audio import read_wav
 from harmosep.cli import DEFAULTS, load_config, main
+from harmosep.dictlearn import save_dictionary, train
 from harmosep.errors import ConfigError
 from harmosep.logspect import load_log_cache
+from harmosep.metrics import bss_eval
+from harmosep.stft import StftConfig
 
 FAST_TRANSFORM = ["--set", "transform_n_spr=40", "--set",
                   "transform_n_pre=40", "--set", "transform_n_itr=2"]
+# Training on 6 s of the seed-0 fixture with TRANSFER_CONFIG, then
+# separating that same recording, scores 19.4 and 21.4 dB; the floor
+# leaves 10 dB below the lower of the two for the change of recording.
+TRANSFER_CONFIG = ["--set", "hop=4096", "--set", "transform_n_spr=20",
+                   "--set", "transform_n_pre=20", "--set",
+                   "transform_n_itr=1", "--set", "n_trn=120",
+                   "--set", "prune_interval=60", "--set", "n_har=10"]
+TRANSFER_SDR_FLOOR_DB = 19.4 - 10.0
 
 
 def test_load_config_defaults():
@@ -137,6 +148,27 @@ def test_train_deterministic_bytes(short_fixture, tmp_path):
     assert d1.read_bytes() == d2.read_bytes()
 
 
+def test_train_uses_the_configured_window(short_fixture, tmp_path):
+    # The harmonic family's peak width comes from the analysis window,
+    # so training must use the window the transform used.
+    window = ["--set", "window_halfwidth=4", "--set", "hop=4096"]
+    cache = tmp_path / "mix.hsls"
+    assert main(FAST_TRANSFORM + window
+                + ["transform", str(short_fixture / "mix.wav"),
+                   "-o", str(cache)]) == 0
+    budget = ["--set", "n_trn=4", "--set", "prune_interval=2",
+              "--set", "n_har=10", "--set", "n_ins=1"]
+    from_cli = tmp_path / "cli.txt"
+    assert main(window + budget
+                + ["train", str(cache), "-o", str(from_cli)]) == 0
+    dictionary, kept = train(
+        load_log_cache(cache), 1, 1, 4, 0, n_har=10, prune_interval=2,
+        stft_cfg=StftConfig(window_halfwidth=4, hop_samples=4096))
+    from_library = tmp_path / "library.txt"
+    save_dictionary(from_library, dictionary, kept)
+    assert from_cli.read_bytes() == from_library.read_bytes()
+
+
 def test_eval_identical_files(short_fixture, capsys):
     ref = str(short_fixture / "ref0.wav")
     code = main(["eval", "--refs", ref, "--ests", ref])
@@ -164,3 +196,27 @@ def test_readme_workflow_end_to_end(short_fixture, tmp_path, capsys):
                  str(short_fixture / "ref1.wav"),
                  "--ests", *map(str, ests)]) == 0
     assert "sdr_db=" in capsys.readouterr().out
+
+
+def test_dictionary_transfers_to_another_recording(tmp_path):
+    # The paper's claim: a dictionary learned on one recording separates
+    # another recording of the same instruments without retraining.
+    train_clip = tmp_path / "seed0"
+    other_clip = tmp_path / "seed1"
+    assert main(["--set", "seed=0", "synth", "--outdir", str(train_clip),
+                 "--duration", "6"]) == 0
+    assert main(["--set", "seed=1", "synth", "--outdir", str(other_clip),
+                 "--duration", "3"]) == 0
+    cache = tmp_path / "seed0.hsls"
+    dictionary = tmp_path / "dict.txt"
+    stems = tmp_path / "stems"
+    assert main(TRANSFER_CONFIG + ["transform", str(train_clip / "mix.wav"),
+                                   "-o", str(cache)]) == 0
+    assert main(TRANSFER_CONFIG + ["train", str(cache),
+                                   "-o", str(dictionary)]) == 0
+    assert main(TRANSFER_CONFIG + ["separate", str(other_clip / "mix.wav"),
+                                   str(dictionary),
+                                   "--outdir", str(stems)]) == 0
+    refs = [read_wav(other_clip / f"ref{k}.wav") for k in range(2)]
+    ests = [read_wav(stems / f"mix.inst{k}.wav") for k in range(2)]
+    assert bss_eval(refs, ests).sdr_db.min() >= TRANSFER_SDR_FLOOR_DB

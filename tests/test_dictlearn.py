@@ -5,7 +5,6 @@ from harmosep.dictlearn import (Dictionary, TrainState, harmonic_family,
                                 init_column, load_dictionary,
                                 save_dictionary, train, _prune)
 from harmosep.errors import ConfigError, DomainError, FormatError
-from harmosep.logspect import LogAxisConfig
 from harmosep.optim import AdamState
 from harmosep.pursuit import Atoms, PursuitConfig, loss
 from harmosep.stft import LogAxis, SpectrogramGrid
@@ -108,7 +107,7 @@ def test_prune_keeps_top_ranked_columns():
     D = Dictionary(np.full((3, 4), 0.5))
     state = TrainState(adam=AdamState.zeros(3, 4),
                        amp_acc=np.array([5.0, 1.0, 8.0, 0.5]),
-                       prune_interval=500, head_start=250, n_ins=2)
+                       head_start=250, n_ins=2)
     state.adam.tau[:] = 500
     rng = np.random.default_rng(0)
     kept = _prune(D, state, rng)

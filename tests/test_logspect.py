@@ -3,16 +3,14 @@ import pytest
 
 from harmosep.errors import DomainError, FormatError
 from harmosep.kernels import sample_gaussian
-from harmosep.logspect import (GaussianPeakFamily, LogAxisConfig,
-                               gaussian_family, load_log_cache,
-                               save_log_cache, to_log_spectrogram,
-                               transform_config)
-from harmosep.stft import (LinearAxis, LogAxis, SpectrogramGrid,
-                           StftConfig)
+from harmosep.logspect import (GaussianPeakFamily, gaussian_family,
+                               load_log_cache, save_log_cache,
+                               to_log_spectrogram, transform_config)
+from harmosep.stft import LogAxis, SpectrogramGrid, StftConfig
 
 
 def test_axis_mapping_constants():
-    axis = LogAxisConfig()
+    axis = LogAxis()
     assert axis.alpha(5.12) == 0.0
     assert axis.alpha(10.24) == pytest.approx(102.4)
     assert axis.frequency(1024.0) == pytest.approx(5.12 * 2 ** 10)
@@ -48,7 +46,7 @@ def _line_grid(center_bins, amps, n_frames=3):
                           np.asarray(amps, dtype=np.float64),
                           np.full(len(center_bins), std), cfg.n_bins)
     Z = np.tile(col[:, None], (1, n_frames))
-    return SpectrogramGrid(Z, LinearAxis(cfg.bin_hz), cfg.frame_period_s)
+    return SpectrogramGrid(Z, cfg, cfg.frame_period_s)
 
 
 def test_single_line_maps_to_expected_log_bin():
@@ -58,7 +56,7 @@ def test_single_line_maps_to_expected_log_bin():
     for frame_atoms in atoms:
         tops = frame_atoms.mu[frame_atoms.a > 0.5]
         assert len(tops) == 1
-        alpha = LogAxisConfig().alpha(tops[0])
+        alpha = LogAxis().alpha(tops[0])
         assert alpha == pytest.approx(102.4, abs=0.1)
     assert abs(np.argmax(U.values[:, 1]) - 102) <= 1
 
@@ -67,7 +65,7 @@ def test_two_lines_log_distance():
     f1, f2 = 112.4, 253.7
     Z = _line_grid([f1, f2], [1.0, 0.8])
     U, atoms = to_log_spectrogram(Z, pursuit_cfg=transform_config(n_itr=3))
-    axis = LogAxisConfig()
+    axis = LogAxis()
     strong = np.sort(atoms[0].mu[atoms[0].a > 0.4])
     assert len(strong) == 2
     d = axis.alpha(strong[1]) - axis.alpha(strong[0])
@@ -76,8 +74,7 @@ def test_two_lines_log_distance():
 
 def test_zero_spectrogram_stays_zero():
     cfg = StftConfig()
-    Z = SpectrogramGrid(np.zeros((cfg.n_bins, 2)), LinearAxis(cfg.bin_hz),
-                        cfg.frame_period_s)
+    Z = SpectrogramGrid(np.zeros((cfg.n_bins, 2)), cfg, cfg.frame_period_s)
     U, atoms = to_log_spectrogram(Z, pursuit_cfg=transform_config(n_itr=2))
     assert np.all(U.values == 0.0)
     assert all(len(a) == 0 for a in atoms)
@@ -103,7 +100,7 @@ def test_cache_round_trip(tmp_path, rng):
 
 
 def test_cache_rejects_linear_axis(tmp_path):
-    grid = SpectrogramGrid(np.zeros((4, 4)), LinearAxis(3.90625), 0.01)
+    grid = SpectrogramGrid(np.zeros((4, 4)), StftConfig(), 0.01)
     with pytest.raises(DomainError):
         save_log_cache(tmp_path / "z.hsls", grid)
 

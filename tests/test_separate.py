@@ -3,11 +3,10 @@ import pytest
 
 from harmosep.dictlearn import Dictionary, harmonic_family
 from harmosep.errors import DomainError
-from harmosep.logspect import LogAxisConfig
 from harmosep.pursuit import Atoms
 from harmosep.separate import (MASK_EPSILON, apply_mask,
                                reconstruct_instrument, separate)
-from harmosep.stft import LinearAxis, LogAxis, SpectrogramGrid, StftConfig
+from harmosep.stft import LogAxis, SpectrogramGrid, StftConfig
 
 
 def _family(D):
@@ -18,9 +17,9 @@ def test_reconstruct_single_partial_atom():
     D = np.zeros((4, 1))
     D[0, 0] = 1.0
     fam = _family(D)
-    axis = LogAxisConfig()
+    axis = LogAxis()
     atom = Atoms([2.0], [axis.alpha(10.24)], [0], [[fam.sigma_nil, 0.0]])
-    out = reconstruct_instrument([atom], 0, fam, axis, (100, 1))
+    out = reconstruct_instrument([atom], 0, fam, (100, 1))
     assert out[10, 0] == pytest.approx(2.0, rel=1e-2)
     assert np.argmax(out[:, 0]) == 10
 
@@ -29,28 +28,27 @@ def test_reconstruct_partials_at_harmonic_bins():
     D = np.zeros((3, 1))
     D[:, 0] = [1.0, 0.5, 0.25]
     fam = _family(D)
-    axis = LogAxisConfig()
+    axis = LogAxis()
     atom = Atoms([1.0], [axis.alpha(50.0)], [0], [[fam.sigma_nil, 0.0]])
-    out = reconstruct_instrument([atom], 0, fam, axis, (400, 1))
+    out = reconstruct_instrument([atom], 0, fam, (400, 1))
     for h, amp in ((1, 1.0), (2, 0.5), (3, 0.25)):
         assert out[50 * h, 0] == pytest.approx(amp, rel=2e-2)
 
 
 def test_reconstruct_ignores_other_patterns():
     fam = _family(np.full((2, 2), 0.5))
-    axis = LogAxisConfig()
     atom = Atoms([1.0], [300.0], [1], [[fam.sigma_nil, 0.0]])
-    out = reconstruct_instrument([atom], 0, fam, axis, (500, 1))
+    out = reconstruct_instrument([atom], 0, fam, (500, 1))
     assert np.all(out == 0.0)
 
 
 def test_reconstruct_drops_partials_beyond_grid():
     D = np.ones((10, 1))
     fam = _family(D)
-    axis = LogAxisConfig()
+    axis = LogAxis()
     # fundamental at bin 50: partials 6..10 land beyond a 300-bin grid
     atom = Atoms([1.0], [axis.alpha(50.0)], [0], [[fam.sigma_nil, 0.0]])
-    out = reconstruct_instrument([atom], 0, fam, axis, (300, 1))
+    out = reconstruct_instrument([atom], 0, fam, (300, 1))
     assert out[250, 0] == pytest.approx(1.0, rel=2e-2)
     assert np.all(np.isfinite(out))
 
@@ -91,7 +89,7 @@ def _silent_setup():
     U = SpectrogramGrid(np.zeros((1024, n_frames)), LogAxis(5.12, 102.4),
                         scfg.frame_period_s)
     Z = SpectrogramGrid(np.zeros((scfg.n_bins, n_frames)),
-                        LinearAxis(scfg.bin_hz), scfg.frame_period_s)
+                        scfg, scfg.frame_period_s)
     phase = np.zeros((scfg.n_bins, n_frames))
     return scfg, U, Z, phase
 
