@@ -16,6 +16,7 @@ from .errors import DomainError, FormatError
 SUPPORTED_RATES = (44100, 48000)
 
 INT16_SCALE = 32768.0
+FADE_S = 0.01           # fade length of a synthetic tone
 
 
 @dataclass
@@ -49,8 +50,6 @@ def read_wav(path):
     """
     try:
         rate, data = wavfile.read(path)
-    except FileNotFoundError:
-        raise
     except ValueError as exc:
         raise FormatError(f"cannot parse WAV file {path}: {exc}") from exc
     if data.dtype == np.int16:
@@ -99,11 +98,11 @@ def partial_frequencies(f1_hz, n_partials, b=0.0):
 
 
 def synth_harmonic_tone(f1_hz, amplitudes, b, duration_s, sample_rate_hz,
-                        phases=None, fade_s=0.01):
+                        phases=None):
     """Synthesize a harmonic tone with optional string inharmonicity.
 
     The output is the sum over partials of ``amplitudes[h] * sin(2 pi
-    f_h t + phases[h])``, peak-normalized to 0.5, with a short
+    f_h t + phases[h])``, peak-normalized to 0.5, with a ``FADE_S``
     raised-cosine fade at both ends to avoid clicks.  Partials at or
     above the Nyquist frequency are dropped.
     """
@@ -123,7 +122,7 @@ def synth_harmonic_tone(f1_hz, amplitudes, b, duration_s, sample_rate_hz,
     peak = np.abs(x).max()
     if peak > 0:
         x *= 0.5 / peak
-    n_fade = min(int(round(fade_s * sample_rate_hz)), n // 2)
+    n_fade = min(int(round(FADE_S * sample_rate_hz)), n // 2)
     if n_fade > 0:
         ramp = 0.5 - 0.5 * np.cos(np.pi * np.arange(n_fade) / n_fade)
         x[:n_fade] *= ramp

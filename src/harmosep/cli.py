@@ -24,26 +24,27 @@ import numpy as np
 
 from . import dictlearn, fixtures, logspect, metrics
 from .audio import read_wav, write_wav
-from .errors import ConfigError, DomainError, FormatError, HarmosepError
+from .errors import ConfigError, HarmosepError
 from .separate import separate
 from .stft import LogAxis, StftConfig, save_pgm, stft_magnitude
 
+_TRANSFORM = logspect.transform_config()
 DEFAULTS = {
-    "hop": 256,
-    "zeta": 1024.0,
-    "window_halfwidth": 6.0,
-    "f0": 5.12,
-    "alpha0": 102.4,
-    "log_bins": 1024,
+    "hop": StftConfig.hop_samples,
+    "zeta": StftConfig.zeta_samples,
+    "window_halfwidth": StftConfig.window_halfwidth,
+    "f0": LogAxis.f0,
+    "alpha0": LogAxis.alpha0,
+    "log_bins": LogAxis.n_bins,
     "n_ins": 2,
     "n_spr": 1,
     "n_trn": 2000,
     "seed": 0,
-    "n_har": 25,
-    "prune_interval": 500,
-    "transform_n_spr": 1000,
-    "transform_n_pre": 1000,
-    "transform_n_itr": 20,
+    "n_har": dictlearn.DEFAULT_N_HAR,
+    "prune_interval": dictlearn.DEFAULT_PRUNE_INTERVAL,
+    "transform_n_spr": _TRANSFORM.n_spr,
+    "transform_n_pre": _TRANSFORM.n_pre,
+    "transform_n_itr": _TRANSFORM.n_itr,
     "use_mask": True,
     "gl_iters": 1,
 }
@@ -89,6 +90,15 @@ def load_config(path=None, overrides=()):
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         apply(*item.split("=", 1), origin="--set")
+    # Every integer key counts something, except the seed.
+    for key, value in cfg.items():
+        least = 0 if key == "seed" else 1
+        if type(value) is int and value < least:
+            raise ConfigError(f"{key} must be at least {least}, "
+                              f"got {value}")
+    # The window and the axis check their own fields.
+    stft_config(cfg, StftConfig.sample_rate_hz)
+    log_axis(cfg)
     if cfg["n_trn"] % cfg["prune_interval"] != 0:
         raise ConfigError("n_trn must be a multiple of prune_interval")
     return cfg
@@ -266,7 +276,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"harmosep: {exc}", file=sys.stderr)
         return 1
-    except (OSError, HarmosepError, FormatError, DomainError) as exc:
+    except (OSError, HarmosepError) as exc:
         print(f"harmosep: {exc}", file=sys.stderr)
         return 2
 

@@ -176,8 +176,7 @@ def harmonic_family(dictionary, axis=None, stft_cfg=None):
         axis = LogAxis()
     if stft_cfg is None:
         stft_cfg = StftConfig()
-    D = dictionary.D if isinstance(dictionary, Dictionary) else dictionary
-    return HarmonicPatternFamily(D, axis, stft_cfg.sigma_nil,
+    return HarmonicPatternFamily(dictionary.D, axis, stft_cfg.sigma_nil,
                                  stft_cfg.window_length)
 
 
@@ -203,7 +202,7 @@ def training_config(n_spr, **overrides):
     """Pursuit hyperparameters for training and separation: lifted loss
     with q = 1/2, cross-correlation preselection of a single candidate
     per iteration."""
-    defaults = dict(q=0.5, delta=1e-10, lam=0.9, n_pre=1, n_spr=n_spr,
+    defaults = dict(q=0.5, lam=0.9, n_pre=1, n_spr=n_spr,
                     selector="xcorr", max_evals=200, floor_rel=1e-6)
     defaults.update(overrides)
     return PursuitConfig(**defaults)

@@ -96,9 +96,8 @@ def transform_config(**overrides):
     High sparsity budget, un-lifted loss (q = 1) and peak preselection;
     lam = 1 keeps iterating as long as the loss strictly decreases.
     """
-    defaults = dict(q=1.0, delta=1e-10, lam=1.0, n_pre=1000, n_spr=1000,
-                    n_itr=20, selector="peaks", n_dom=3, max_evals=300,
-                    floor_rel=1e-6)
+    defaults = dict(q=1.0, lam=1.0, n_pre=1000, n_spr=1000, n_itr=20,
+                    selector="peaks", max_evals=300, floor_rel=1e-6)
     defaults.update(overrides)
     return PursuitConfig(**defaults)
 
@@ -179,6 +178,8 @@ def load_log_cache(path):
     if not (np.isfinite([f0, alpha0, period]).all() and f0 > 0.0
             and alpha0 > 0.0 and period >= 0.0):
         raise FormatError(f"invalid log axis or frame period in {path}")
+    if m == 0:
+        raise FormatError(f"cache without frequency bins in {path}")
     if len(payload) != 4 * m * n_frames:
         raise FormatError(f"cache payload size mismatch in {path}")
     data = np.frombuffer(payload, dtype=np.float32)

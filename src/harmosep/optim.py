@@ -5,10 +5,11 @@ pursuit refinement step.  ``adam_step`` implements the modified Adam
 update for dictionary columns: first moments are tracked per entry but
 a single second-moment estimate is shared by each column (the mean of
 the squared column gradient), which preserves the relative scaling of
-the harmonics within a column.
+the harmonics within a column; its constants live on :class:`AdamState`.
 """
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.optimize import Bounds, minimize
@@ -68,15 +69,15 @@ class AdamState:
     v1: np.ndarray          # [n_har, n_pat] first moments
     v2: np.ndarray          # [n_pat] shared second moments
     tau: np.ndarray         # [n_pat] step counts
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    kappa: float = 1e-3
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    epsilon: ClassVar[float] = 1e-8
+    kappa: ClassVar[float] = 1e-3
 
     @classmethod
-    def zeros(cls, n_har, n_pat, **kwargs):
+    def zeros(cls, n_har, n_pat):
         return cls(v1=np.zeros((n_har, n_pat)), v2=np.zeros(n_pat),
-                   tau=np.zeros(n_pat, dtype=np.int64), **kwargs)
+                   tau=np.zeros(n_pat, dtype=np.int64))
 
     def reset_column(self, eta):
         self.v1[:, eta] = 0.0
@@ -84,28 +85,25 @@ class AdamState:
         self.tau[eta] = 0
 
 
-def adam_step(D, state, gradient, active_columns=None):
-    """One modified-Adam update of the dictionary matrix, in place.
+def adam_step(D, state, gradient):
+    """One modified-Adam update of every dictionary column, in place.
 
-    Per active column: the step count is incremented, moments are
-    updated (the second moment from the column-mean squared gradient),
-    bias correction uses the column's own count, and the column is
-    clamped to [0, 1] afterwards.  Returns ``(D, state)``.
+    Per column: the step count is incremented, moments are updated (the
+    second moment from the column-mean squared gradient), bias correction
+    uses the column's own count, and the column is clamped to [0, 1].
+    A non-finite gradient raises before any update.  Returns ``(D, state)``.
     """
     g = np.asarray(gradient, dtype=np.float64)
-    if active_columns is None:
-        active_columns = range(D.shape[1])
-    for eta in active_columns:
-        if not np.all(np.isfinite(g[:, eta])):
-            raise DomainError(f"non-finite gradient for column {eta}")
-        state.tau[eta] += 1
-        state.v1[:, eta] = (state.beta1 * state.v1[:, eta]
-                            + (1.0 - state.beta1) * g[:, eta])
-        state.v2[eta] = (state.beta2 * state.v2[eta]
-                         + (1.0 - state.beta2) * np.mean(g[:, eta] ** 2))
-        t = state.tau[eta]
-        v1_hat = state.v1[:, eta] / (1.0 - state.beta1**t)
-        v2_hat = state.v2[eta] / (1.0 - state.beta2**t)
-        D[:, eta] -= state.kappa * v1_hat / np.sqrt(v2_hat + state.epsilon)
-        np.clip(D[:, eta], 0.0, 1.0, out=D[:, eta])
+    bad = np.flatnonzero(~np.isfinite(g).all(axis=0))
+    if len(bad):
+        raise DomainError(f"non-finite gradient for column {bad[0]}")
+    state.tau += 1
+    state.v1[...] = state.beta1 * state.v1 + (1.0 - state.beta1) * g
+    # Contiguous columns and int64 powers round as a per-column loop did.
+    g2 = np.mean(np.ascontiguousarray(g.T) ** 2, axis=1)
+    state.v2[...] = state.beta2 * state.v2 + (1.0 - state.beta2) * g2
+    v1_hat = state.v1 / (1.0 - state.beta1 ** state.tau)
+    v2_hat = state.v2 / (1.0 - state.beta2 ** state.tau)
+    D -= state.kappa * v1_hat / np.sqrt(v2_hat + state.epsilon)
+    np.clip(D, 0.0, 1.0, out=D)
     return D, state

@@ -9,9 +9,10 @@ against the lifted squared loss
 
     L = sum_s ((Y[s] + delta)^q - (delta + sum_j a_j y_j(s - mu_j))^q)^2
 
-with q in (0, 1].  Per pattern index, only the ``n_spr`` strongest
-atoms are kept; the loop stops once an iteration fails to shrink the
-loss by the factor ``1 - lam``, or after ``cfg.iterations(n_patterns)``.
+with q in (0, 1] and the constant delta = :data:`DELTA`.  Per pattern
+index, only the ``n_spr`` strongest atoms are kept; the loop stops once
+an iteration fails to shrink the loss by the factor ``1 - lam``, or
+after ``cfg.iterations(n_patterns)``.
 
 Atoms exist in one form only, :class:`Atoms`: parallel arrays of
 amplitudes ``a``, shifts ``mu``, pattern indices ``eta`` and parameter
@@ -54,11 +55,12 @@ import numpy as np
 from .errors import DomainError
 from .optim import BoxSpec, minimize_box
 
+DELTA = 1e-10
+
 
 @dataclass
 class PursuitConfig:
     q: float = 0.5
-    delta: float = 1e-10
     lam: float = 0.9
     n_pre: int = 1
     n_spr: int = 1
@@ -76,8 +78,6 @@ class PursuitConfig:
             raise DomainError("q must lie in (0, 1]")
         if not 0.0 < self.lam <= 1.0:
             raise DomainError("lam must lie in (0, 1]")
-        if self.delta <= 0.0:
-            raise DomainError("delta must be positive")
 
     def iterations(self, n_patterns):
         if self.n_itr is not None:
@@ -143,13 +143,13 @@ def _model(length, atoms, family):
 
 class _Target:
     """The per-pursuit invariants of the loss for one sample vector:
-    the lifted target ``(Y + delta)^q`` and the lifted error ``e0`` of
+    the lifted target ``(Y + DELTA)^q`` and the lifted error ``e0`` of
     the empty model."""
 
     def __init__(self, Y, cfg):
-        self.lifted = (Y + cfg.delta) ** cfg.q
+        self.lifted = (Y + DELTA) ** cfg.q
         # Lifted as the loss lifts a model sample that is exactly zero.
-        self.e0 = self.lifted - (np.zeros(len(Y)) + cfg.delta) ** cfg.q
+        self.e0 = self.lifted - (np.zeros(len(Y)) + DELTA) ** cfg.q
 
 
 def loss(Y, atoms, family, cfg, with_dict_grad=False):
@@ -163,14 +163,14 @@ def loss(Y, atoms, family, cfg, with_dict_grad=False):
     """
     if not isinstance(Y, _Target):
         Y = _Target(np.asarray(Y, dtype=np.float64), cfg)
-    q, delta = cfg.q, cfg.delta
+    q = cfg.q
     # The model is zero off its span, where the error is e0's.
     err = Y.e0.copy()
     if len(atoms):
         model, lo, ctx = family.forward(len(err), atoms.a, atoms.mu,
                                         atoms.eta, atoms.theta)
         hi = lo + len(model)
-        shifted = model + delta
+        shifted = model + DELTA
         np.subtract(Y.lifted[lo:hi], shifted ** q, out=err[lo:hi])
         # dL/dmodel on the span
         weights = -2.0 * q * err[lo:hi] * shifted ** (q - 1.0)
@@ -312,6 +312,8 @@ def pursue(Y, family, cfg):
     and the final loss value.
     """
     Y = np.asarray(Y, dtype=np.float64)
+    if len(Y) == 0:
+        raise DomainError("pursuit input must not be empty")
     if not np.all(np.isfinite(Y)):
         raise DomainError("pursuit input must be finite")
     if np.any(Y < 0):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dictlearn import harmonic_family, training_config
+from .dictlearn import Dictionary, harmonic_family, training_config
 from .errors import DomainError
 from .kernels import gaussian_accumulate
 from .pursuit import pursue
@@ -76,8 +76,8 @@ def separate(U, Z, phase, dictionary, kept, n_spr, *, stft_cfg=None,
         raise DomainError("log and linear spectrograms disagree in frames")
     if Z.values.shape != phase.shape:
         raise DomainError("magnitude and phase grids differ in shape")
-    family = harmonic_family(dictionary.D[:, kept], axis=U.axis,
-                             stft_cfg=stft_cfg)
+    family = harmonic_family(Dictionary(dictionary.D[:, kept]),
+                             axis=U.axis, stft_cfg=stft_cfg)
     cfg = training_config(n_spr, **(pursuit_overrides or {}))
     atoms_per_frame = [pursue(U.values[:, t], family, cfg).atoms
                        for t in range(U.values.shape[1])]

@@ -9,11 +9,23 @@ grid's ``axis`` is the :class:`StftConfig` that made it, or for a log
 spectrogram the :class:`LogAxis` it was rendered on.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConfigError, DomainError
+
+PGM_DYNAMIC_RANGE_DB = 100.0    # grey scale of save_pgm, dB below peak
+
+
+def _check_positive(config):
+    """Every field of the window and axis configs is a positive,
+    finite number."""
+    for field in fields(config):
+        value = getattr(config, field.name)
+        if not (np.isfinite(value) and value > 0):
+            raise ConfigError(f"{type(config).__name__}.{field.name} must "
+                              f"be positive and finite, got {value!r}")
 
 
 @dataclass
@@ -22,6 +34,12 @@ class StftConfig:
     zeta_samples: float = 1024.0
     hop_samples: int = 256
     window_halfwidth: float = 6.0
+
+    def __post_init__(self):
+        _check_positive(self)
+        if self.window_length < 2:
+            raise ConfigError("the analysis window rounds to fewer than "
+                              "two samples")
 
     @property
     def window_length(self):
@@ -61,6 +79,9 @@ class LogAxis:
     alpha0: float = 102.4   # bins per octave
     n_bins: int = 1024
 
+    def __post_init__(self):
+        _check_positive(self)
+
     def alpha(self, f_bins):
         return self.alpha0 * np.log2(f_bins / self.f0)
 
@@ -84,8 +105,9 @@ def _frame(x, cfg):
     n_frames = 1 + (len(x) - 1) // hop
     pad = np.concatenate([np.zeros(n // 2, dtype=x.dtype), x,
                           np.zeros(n, dtype=x.dtype)])
-    idx = np.arange(n)[None, :] + hop * np.arange(n_frames)[:, None]
-    return pad[idx], n_frames
+    # A strided view: no index matrix and no copy of the frames.
+    windows = np.lib.stride_tricks.sliding_window_view(pad, n)
+    return windows[::hop][:n_frames], n_frames
 
 
 def stft_complex(x, cfg):
@@ -165,20 +187,20 @@ def griffin_lim(target_magnitude, initial_phase, iterations, cfg,
     return AudioClip(np.clip(x, -1.0, 1.0), cfg.sample_rate_hz)
 
 
-def save_pgm(grid, path, dynamic_range_db=100.0):
+def save_pgm(grid, path):
     """Export a spectrogram as a binary PGM image.
 
-    Amplitudes are log-compressed over the given dynamic range relative
-    to the grid maximum; louder values map to darker pixels.
+    Amplitudes are log-compressed over ``PGM_DYNAMIC_RANGE_DB`` below
+    the grid maximum; louder values map to darker pixels.
     """
     v = np.asarray(grid.values, dtype=np.float64)
     peak = v.max()
     if peak <= 0:
-        db = np.full_like(v, -dynamic_range_db)
+        db = np.full_like(v, -PGM_DYNAMIC_RANGE_DB)
     else:
         db = 20.0 * np.log10(np.maximum(v / peak, 1e-300))
-        db = np.clip(db, -dynamic_range_db, 0.0)
-    gray = np.round(-db / dynamic_range_db * 255.0).astype(np.uint8)
+        db = np.clip(db, -PGM_DYNAMIC_RANGE_DB, 0.0)
+    gray = np.round(-db / PGM_DYNAMIC_RANGE_DB * 255.0).astype(np.uint8)
     gray = gray[::-1]  # low frequencies at the bottom
     with open(path, "wb") as fh:
         fh.write(b"P5\n%d %d\n255\n" % (gray.shape[1], gray.shape[0]))

@@ -120,6 +120,41 @@ def test_transform_corrupt_wav_leaves_no_output(tmp_path):
     assert not list(tmp_path.glob(".harmosep-tmp-*"))
 
 
+@pytest.fixture(scope="module")
+def short_cache(short_fixture, tmp_path_factory):
+    cache = tmp_path_factory.mktemp("cache") / "mix.hsls"
+    assert main(FAST_TRANSFORM + ["--set", "hop=4096", "transform",
+                                  str(short_fixture / "mix.wav"),
+                                  "-o", str(cache)]) == 0
+    return cache
+
+
+@pytest.mark.parametrize("command, setting", [
+    ("transform", "hop=0"),
+    ("transform", "hop=-256"),
+    ("transform", "zeta=0"),
+    ("transform", "window_halfwidth=0"),
+    ("transform", "log_bins=0"),
+    ("transform", "alpha0=0"),
+    ("transform", "f0=-1"),
+    ("train", "prune_interval=0"),
+    ("train", "n_har=0"),
+    ("train", "seed=-1"),
+])
+def test_out_of_range_value_exits_1(short_fixture, short_cache, tmp_path,
+                                    capsys, command, setting):
+    source = {"transform": short_fixture / "mix.wav",
+              "train": short_cache}[command]
+    code = main(FAST_TRANSFORM + ["--set", "hop=4096", "--set", setting,
+                                  command, str(source),
+                                  "-o", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert setting.split("=")[0] in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_input_exits_2(tmp_path):
     assert main(["transform", str(tmp_path / "none.wav"),
                  "-o", str(tmp_path / "o.hsls")]) == 2

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 from harmosep.kernels import (CUTOFF_SIGMAS, gaussian_accumulate,
                               gaussian_adjoint, gaussian_forward)
 from harmosep.logspect import GaussianPeakFamily
-from harmosep.pursuit import Atoms, PursuitConfig, loss
+from harmosep.pursuit import DELTA, Atoms, PursuitConfig, loss
 
 LENGTH = 120
 
@@ -121,7 +121,7 @@ def test_span_loss_equals_full_length_reference(Y, bumps, q):
     cfg = PursuitConfig(q=q)
     atoms = Atoms(a, mu, np.zeros(len(a), dtype=np.int64), stds[:, None])
     value, g_a, g_mu, g_theta = loss(Y, atoms, family, cfg)
-    ref = _reference_loss(Y, a, mu, stds, q, cfg.delta)
+    ref = _reference_loss(Y, a, mu, stds, q, DELTA)
     # Same arithmetic in the same order: equal to the last bit.
     assert value == ref[0]
     assert np.array_equal(g_a, ref[1])

@@ -66,6 +66,15 @@ def test_cache_loader_rejects_bad_axis(tmp_path):
         load_log_cache(path)
 
 
+def test_cache_loader_rejects_zero_bins(tmp_path):
+    # A well-formed header of 0 bins x 3 frames and its empty payload.
+    path = tmp_path / "empty.hsls"
+    path.write_bytes(struct.pack("<4sIII3d", b"HSLS", 1, 0, 3, 5.12, 102.4,
+                                 0.01))
+    with pytest.raises(FormatError):
+        load_log_cache(path)
+
+
 def _valid_files():
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp) / "d.dict"

@@ -3,9 +3,9 @@ import pytest
 
 from harmosep.errors import DomainError, FormatError
 from harmosep.kernels import sample_gaussian
-from harmosep.logspect import (GaussianPeakFamily, gaussian_family,
-                               load_log_cache, save_log_cache,
-                               to_log_spectrogram, transform_config)
+from harmosep.logspect import (gaussian_family, load_log_cache,
+                               save_log_cache, to_log_spectrogram,
+                               transform_config)
 from harmosep.stft import LogAxis, SpectrogramGrid, StftConfig
 
 

@@ -115,19 +115,52 @@ def test_adam_clamps_to_unit_box():
     assert D[1, 0] == 0.0
 
 
-def test_adam_active_columns_only():
-    D = np.full((2, 2), 0.5)
-    state = AdamState.zeros(2, 2)
-    adam_step(D, state, np.ones((2, 2)), active_columns=[1])
-    assert np.all(D[:, 0] == 0.5)
-    assert state.tau[0] == 0 and state.tau[1] == 1
+def per_column_adam_step(D, state, g):
+    """The per-column loop that ``adam_step`` computes with array
+    operations; the reference it must match bit for bit."""
+    for eta in range(D.shape[1]):
+        state.tau[eta] += 1
+        state.v1[:, eta] = (state.beta1 * state.v1[:, eta]
+                            + (1.0 - state.beta1) * g[:, eta])
+        state.v2[eta] = (state.beta2 * state.v2[eta]
+                         + (1.0 - state.beta2) * np.mean(g[:, eta] ** 2))
+        t = state.tau[eta]
+        v1_hat = state.v1[:, eta] / (1.0 - state.beta1**t)
+        v2_hat = state.v2[eta] / (1.0 - state.beta2**t)
+        D[:, eta] -= state.kappa * v1_hat / np.sqrt(v2_hat + state.epsilon)
+        np.clip(D[:, eta], 0.0, 1.0, out=D[:, eta])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_adam_step_equals_per_column_loop(seed):
+    rng = np.random.default_rng(seed)
+    n_har, n_pat = int(rng.integers(1, 60)), int(rng.integers(1, 9))
+    D = rng.random((n_har, n_pat))
+    D_ref = D.copy()
+    state = AdamState.zeros(n_har, n_pat)
+    ref = AdamState.zeros(n_har, n_pat)
+    for _ in range(int(rng.integers(1, 80))):
+        g = rng.normal(size=(n_har, n_pat)) * 10.0 ** rng.uniform(-6, 3)
+        adam_step(D, state, g)
+        per_column_adam_step(D_ref, ref, g)
+        if rng.random() < 0.1:
+            eta = int(rng.integers(n_pat))
+            state.reset_column(eta)
+            ref.reset_column(eta)
+        assert np.array_equal(D, D_ref)
+        assert np.array_equal(state.v1, ref.v1)
+        assert np.array_equal(state.v2, ref.v2)
+        assert np.array_equal(state.tau, ref.tau)
 
 
 def test_adam_rejects_non_finite_gradient():
-    D = np.full((2, 1), 0.5)
-    state = AdamState.zeros(2, 1)
-    with pytest.raises(DomainError):
-        adam_step(D, state, np.array([[np.nan], [0.0]]))
+    D = np.full((2, 2), 0.5)
+    state = AdamState.zeros(2, 2)
+    with pytest.raises(DomainError, match="column 1"):
+        adam_step(D, state, np.array([[1.0, np.nan], [1.0, 0.0]]))
+    # Nothing moved, not even the finite column before the bad one.
+    assert np.all(D == 0.5) and np.all(state.tau == 0)
+    assert np.all(state.v1 == 0.0) and np.all(state.v2 == 0.0)
 
 
 def test_reset_column_zeroes_state():

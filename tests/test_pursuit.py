@@ -7,7 +7,7 @@ from harmosep.dictlearn import Dictionary, harmonic_family
 from harmosep.errors import DomainError
 from harmosep.kernels import sample_gaussian
 from harmosep.logspect import GaussianPeakFamily
-from harmosep.pursuit import (Atoms, PursuitConfig, loss, pursue,
+from harmosep.pursuit import (DELTA, Atoms, PursuitConfig, loss, pursue,
                               select_peaks, select_xcorr)
 
 
@@ -21,18 +21,16 @@ def test_config_validation():
         PursuitConfig(q=0.0)
     with pytest.raises(DomainError):
         PursuitConfig(lam=1.5)
-    with pytest.raises(DomainError):
-        PursuitConfig(delta=0.0)
     assert PursuitConfig(n_spr=3).iterations(2) == 12
     assert PursuitConfig(n_itr=7).iterations(2) == 7
 
 
 def test_loss_of_empty_model_is_lifted_energy():
     fam = family()
-    cfg = PursuitConfig(q=0.5, delta=1e-10)
+    cfg = PursuitConfig(q=0.5)
     Y = np.abs(np.random.default_rng(0).normal(size=50))
     v, g_a, g_mu, g_th = loss(Y, Atoms.empty(1), fam, cfg)
-    expect = np.sum(((Y + cfg.delta) ** 0.5 - cfg.delta ** 0.5) ** 2)
+    expect = np.sum(((Y + DELTA) ** 0.5 - DELTA ** 0.5) ** 2)
     assert v == pytest.approx(expect)
     assert len(g_a) == 0
 
@@ -154,6 +152,11 @@ def test_pursue_zero_input_yields_no_atoms():
 def test_pursue_rejects_negative_input():
     with pytest.raises(DomainError):
         pursue(np.array([1.0, -0.5]), family(), PursuitConfig())
+
+
+def test_pursue_rejects_empty_input():
+    with pytest.raises(DomainError):
+        pursue(np.zeros(0), family(), PursuitConfig())
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -3,10 +3,13 @@ import pytest
 
 from harmosep.dictlearn import Dictionary, harmonic_family
 from harmosep.errors import DomainError
+from harmosep.fixtures import reed_spec, string_spec, two_instrument_fixture
+from harmosep.logspect import to_log_spectrogram, transform_config
 from harmosep.pursuit import Atoms
 from harmosep.separate import (MASK_EPSILON, apply_mask,
                                reconstruct_instrument, separate)
-from harmosep.stft import LogAxis, SpectrogramGrid, StftConfig
+from harmosep.stft import (LogAxis, SpectrogramGrid, StftConfig, griffin_lim,
+                           stft_magnitude)
 
 
 def _family(D):
@@ -115,3 +118,25 @@ def test_separate_validates_shapes():
                             scfg.frame_period_s)
     with pytest.raises(DomainError):
         separate(U_bad, Z, phase, d, [0], 1, stft_cfg=scfg)
+
+
+@pytest.mark.parametrize("use_mask", [False, True])
+def test_separate_resynthesizes_the_chosen_spectrograms(use_mask):
+    mix, _ = two_instrument_fixture(duration_s=1.0)
+    scfg = StftConfig(hop_samples=4096)
+    Z, phase = stft_magnitude(mix, scfg)
+    U, _ = to_log_spectrogram(Z, pursuit_cfg=transform_config(
+        n_pre=20, n_spr=20, n_itr=1, max_evals=30))
+    D = np.zeros((10, 2))
+    for col, spec in enumerate((reed_spec(), string_spec())):
+        D[:len(spec.amplitudes), col] = spec.amplitudes
+    n = len(mix.samples)
+    res = separate(U, Z, phase, Dictionary(D), [0, 1], 1,
+                   use_mask=use_mask, gl_iters=2, length=n)
+    # The mask changes the parts, so the two paths are told apart.
+    assert not np.array_equal(res.inst_spectrograms[0].values,
+                              res.masked_spectrograms[0].values)
+    chosen = res.masked_spectrograms if use_mask else res.inst_spectrograms
+    for grid, signal in zip(chosen, res.signals):
+        expect = griffin_lim(grid, phase, 2, scfg, length=n)
+        assert np.array_equal(signal.samples, expect.samples)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from harmosep.audio import AudioClip, synth_harmonic_tone
-from harmosep.errors import DomainError
-from harmosep.stft import (StftConfig, griffin_lim, istft, save_pgm,
+from harmosep.errors import ConfigError, DomainError
+from harmosep.stft import (LogAxis, StftConfig, griffin_lim, istft, save_pgm,
                            stft_complex, stft_magnitude)
 
 
@@ -17,6 +17,29 @@ def test_config_constants(cfg):
     assert cfg.bin_hz == pytest.approx(3.90625)
     assert cfg.frame_period_s == pytest.approx(256 / 48000)
     assert cfg.sigma_nil == pytest.approx(1.0 / (2 * np.pi * 1024))
+
+
+BAD_FIELDS = [
+    (StftConfig, "hop_samples", 0),
+    (StftConfig, "hop_samples", -256),
+    (StftConfig, "zeta_samples", 0.0),
+    (StftConfig, "zeta_samples", np.nan),
+    (StftConfig, "zeta_samples", 0.01),      # the window rounds to 0
+    (StftConfig, "window_halfwidth", 0.0),
+    (StftConfig, "window_halfwidth", np.inf),
+    (StftConfig, "sample_rate_hz", 0),
+    (LogAxis, "f0", -1.0),
+    (LogAxis, "alpha0", 0.0),
+    (LogAxis, "n_bins", 0),
+]
+
+
+@pytest.mark.parametrize("config, field, value", BAD_FIELDS,
+                         ids=[f"{c.__name__}.{f}={v}"
+                              for c, f, v in BAD_FIELDS])
+def test_configs_reject_non_positive_fields(config, field, value):
+    with pytest.raises(ConfigError):
+        config(**{field: value})
 
 
 def test_window_is_unit_peak_gaussian(cfg):
