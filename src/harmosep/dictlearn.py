@@ -77,7 +77,7 @@ class HarmonicPatternFamily:
         h = np.arange(1, self.n_har + 1, dtype=np.float64)
         self._log2_h = np.log2(h)
         self._h2 = h**2
-        self._pattern_cache = {}
+        self._patterns = self._sample_patterns()
 
     def partial_offsets(self, b):
         """Log-axis offsets of the partials relative to the fundamental;
@@ -89,80 +89,69 @@ class HarmonicPatternFamily:
         h2 = self._h2
         return self.axis.alpha0 * 0.5 * h2 / ((1.0 + b * h2) * _LN2)
 
-    def _flatten(self, amps, shifts, etas, thetas):
+    def _flatten(self, atoms):
         # One Gaussian per (atom, partial) pair.
-        b = thetas[:, 1][:, None]
-        centers = shifts[:, None] + self.partial_offsets(b)
-        weights = self.D[:, etas].T          # [n_atoms, n_har]
-        amp_grid = amps[:, None] * weights
-        stds = np.repeat(thetas[:, 0] * self.bin_scale, self.n_har)
+        b = atoms.theta[:, 1][:, None]
+        centers = atoms.mu[:, None] + self.partial_offsets(b)
+        weights = self.D[:, atoms.eta].T     # [n_atoms, n_har]
+        amp_grid = atoms.a[:, None] * weights
+        stds = np.repeat(atoms.theta[:, 0] * self.bin_scale, self.n_har)
         return centers.ravel(), amp_grid.ravel(), stds, weights
 
-    def accumulate(self, out, amps, shifts, etas, thetas):
-        centers, amp_flat, stds, _ = self._flatten(amps, shifts, etas,
-                                                   thetas)
+    def accumulate(self, out, atoms):
+        centers, amp_flat, stds, _ = self._flatten(atoms)
         gaussian_accumulate(out, centers, amp_flat, stds)
         return out
 
-    def _adjoints(self, weights_vec, amps, shifts, etas, thetas):
-        centers, _, stds, dweights = self._flatten(amps, shifts, etas,
-                                                   thetas)
-        ip_g, ip_dc, ip_ds = gaussian_backprop(weights_vec, centers, stds)
-        n = len(amps)
-        shape = (n, self.n_har)
-        return (ip_g.reshape(shape), ip_dc.reshape(shape),
-                ip_ds.reshape(shape), dweights)
-
-    def _compose(self, ip_g, ip_dc, ip_ds, dweights, amps, thetas):
-        g_a = (dweights * ip_g).sum(axis=1)
-        dw_dc = dweights * ip_dc
-        g_mu = amps * dw_dc.sum(axis=1)
-        g_sigma = amps * (dweights * ip_ds).sum(axis=1) * self.bin_scale
-        doff = self._doffsets_db(thetas[:, 1][:, None])
-        g_b = amps * (dw_dc * doff).sum(axis=1)
-        return g_a, g_mu, np.stack([g_sigma, g_b], axis=1)
-
-    def forward(self, length, amps, shifts, etas, thetas):
-        centers, amp_flat, stds, dweights = self._flatten(amps, shifts,
-                                                          etas, thetas)
+    def forward(self, length, atoms):
+        centers, amp_flat, stds, dweights = self._flatten(atoms)
         values, lo, cache = gaussian_forward(length, centers, amp_flat,
                                              stds)
         return values, lo, (cache, dweights)
 
-    def adjoint(self, weights_vec, ctx, amps, shifts, etas, thetas):
+    def adjoint(self, weights_vec, ctx, atoms):
         cache, dweights = ctx
-        ip_g, ip_dc, ip_ds = gaussian_adjoint(weights_vec, cache)
-        shape = (len(amps), self.n_har)
-        return self._compose(ip_g.reshape(shape), ip_dc.reshape(shape),
-                             ip_ds.reshape(shape), dweights, amps,
-                             thetas)
+        ip_g, ip_dc, ip_ds = (ip.reshape(dweights.shape) for ip in
+                              gaussian_adjoint(weights_vec, cache))
+        a = atoms.a
+        g_a = (dweights * ip_g).sum(axis=1)
+        dw_dc = dweights * ip_dc
+        g_mu = a * dw_dc.sum(axis=1)
+        g_sigma = a * (dweights * ip_ds).sum(axis=1) * self.bin_scale
+        doff = self._doffsets_db(atoms.theta[:, 1][:, None])
+        g_b = a * (dw_dc * doff).sum(axis=1)
+        return g_a, g_mu, np.stack([g_sigma, g_b], axis=1)
 
-    def dict_backprop(self, weights_vec, amps, shifts, etas, thetas):
+    def dict_backprop(self, weights_vec, atoms):
         """Gradient of the loss with respect to the dictionary entries,
         with the atoms' own parameters held fixed; ``weights_vec`` spans
         the whole grid."""
         g = np.zeros_like(self.D)
-        if len(amps) == 0:
+        if len(atoms) == 0:
             return g
-        ip_g, _, _, _ = self._adjoints(weights_vec, amps, shifts, etas,
-                                       thetas)
-        np.add.at(g.T, etas, amps[:, None] * ip_g)
+        centers, _, stds, dweights = self._flatten(atoms)
+        ip_g, _, _ = gaussian_backprop(weights_vec, centers, stds)
+        np.add.at(g.T, atoms.eta,
+                  atoms.a[:, None] * ip_g.reshape(dweights.shape))
         return g
 
-    def sampled_pattern(self, eta):
-        if eta in self._pattern_cache:
-            return self._pattern_cache[eta]
+    def _sample_patterns(self):
+        """Every column's pattern at theta_nil on the integer offsets
+        of its support."""
         std = self.sigma_nil * self.bin_scale
         offs = self.partial_offsets(0.0)
         hw = int(np.ceil(CUTOFF_SIGMAS * std)) + 1
         lo = -hw
         hi = int(np.ceil(offs[-1])) + hw
         grid = np.arange(lo, hi + 1, dtype=np.float64)
-        values = (self.D[:, eta][None, :]
-                  * np.exp(-(grid[:, None] - offs[None, :]) ** 2
-                           / (2.0 * std**2))).sum(axis=1)
-        self._pattern_cache[eta] = (np.arange(lo, hi + 1), values)
-        return self._pattern_cache[eta]
+        bumps = np.exp(-(grid[:, None] - offs[None, :]) ** 2
+                       / (2.0 * std**2))
+        offsets = np.arange(lo, hi + 1)
+        return [(offsets, (self.D[:, eta][None, :] * bumps).sum(axis=1))
+                for eta in range(self.n_patterns)]
+
+    def sampled_pattern(self, eta):
+        return self._patterns[eta]
 
     def support_halfwidth(self):
         top = self.axis.alpha0 * np.log2(
@@ -252,9 +241,10 @@ def train(U, n_ins, n_spr, n_trn, seed, *, n_har=DEFAULT_N_HAR,
         t = int(rng.integers(n_frames))
         family = harmonic_family(dictionary, axis=U.axis, stft_cfg=stft_cfg)
         result = pursue(U.values[:, t], family, cfg)
-        if len(result.atoms):
-            state.amp_acc += result.amplitude_sums
-            _, _, _, _, g = loss(U.values[:, t], result.atoms, family, cfg,
+        atoms = result.atoms
+        if len(atoms):
+            state.amp_acc += np.bincount(atoms.eta, atoms.a, minlength=n_pat)
+            _, _, _, _, g = loss(U.values[:, t], atoms, family, cfg,
                                  with_dict_grad=True)
             adam_step(dictionary.D, state.adam, g)
         if (step + 1) % prune_interval == 0:

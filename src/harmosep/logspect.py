@@ -30,13 +30,6 @@ from .stft import LogAxis, SpectrogramGrid, StftConfig
 WIDTH_RANGE = (0.25, 4.0)
 
 
-#: Conversion from the width parameter sigma (in cycles/sample, the
-#: Fourier std of the analysis window) to frequency bins: one bin is
-#: 1/window_length cycles/sample.
-def _bin_scale(stft_cfg):
-    return stft_cfg.window_length
-
-
 class GaussianPeakFamily:
     """Single-pattern family of Gaussian peaks with free width.
 
@@ -58,19 +51,22 @@ class GaussianPeakFamily:
             np.array([WIDTH_RANGE[1] * self.sigma_nil]),
         )
 
-    def _stds(self, thetas):
+    def stds(self, thetas):
+        """Peak standard deviations in bins for the widths ``thetas``."""
         return thetas[:, 0] * self.bin_scale
 
-    def accumulate(self, out, amps, shifts, etas, thetas):
-        gaussian_accumulate(out, shifts, amps, self._stds(thetas))
+    def accumulate(self, out, atoms):
+        gaussian_accumulate(out, atoms.mu, atoms.a, self.stds(atoms.theta))
         return out
 
-    def forward(self, length, amps, shifts, etas, thetas):
-        return gaussian_forward(length, shifts, amps, self._stds(thetas))
+    def forward(self, length, atoms):
+        return gaussian_forward(length, atoms.mu, atoms.a,
+                                self.stds(atoms.theta))
 
-    def adjoint(self, weights, cache, amps, shifts, etas, thetas):
+    def adjoint(self, weights, cache, atoms):
         ip_g, ip_dc, ip_ds = gaussian_adjoint(weights, cache)
-        return ip_g, amps * ip_dc, (amps * ip_ds * self.bin_scale)[:, None]
+        a = atoms.a
+        return ip_g, a * ip_dc, (a * ip_ds * self.bin_scale)[:, None]
 
     def sampled_pattern(self, eta):
         std = self.sigma_nil * self.bin_scale
@@ -87,7 +83,7 @@ def gaussian_family(stft_cfg=None):
     """Pattern family matching the STFT's own peak shape."""
     if stft_cfg is None:
         stft_cfg = StftConfig()
-    return GaussianPeakFamily(stft_cfg.sigma_nil, _bin_scale(stft_cfg))
+    return GaussianPeakFamily(stft_cfg.sigma_nil, stft_cfg.window_length)
 
 
 def transform_config(**overrides):
@@ -119,7 +115,6 @@ def to_log_spectrogram(Z, axis=None, stft_cfg=None, pursuit_cfg=None):
     if pursuit_cfg is None:
         pursuit_cfg = transform_config()
     family = gaussian_family(stft_cfg)
-    bin_scale = _bin_scale(stft_cfg)
     m = axis.n_bins
     n_frames = Z.values.shape[1]
     U = np.zeros((m, n_frames))
@@ -133,7 +128,7 @@ def to_log_spectrogram(Z, axis=None, stft_cfg=None, pursuit_cfg=None):
         if np.any(inside):
             gaussian_accumulate(U[:, t], alpha[inside],
                                 atoms.a[positive][inside],
-                                atoms.theta[positive, 0][inside] * bin_scale)
+                                family.stds(atoms.theta[positive])[inside])
     return SpectrogramGrid(U, axis, Z.frame_period_s), atoms_per_frame
 
 

@@ -24,17 +24,16 @@ them as they are.
 Pattern families are duck-typed; see :class:`GaussianPeakFamily` in
 :mod:`harmosep.logspect` for the reference implementation.  A family is
 built on the geometry of its grid (the harmonic family keeps the log
-axis as ``axis``).  Required surface::
+axis as ``axis``).  Required surface, with ``atoms`` an :class:`Atoms`::
 
     n_patterns, n_params : int
     theta_nil            : (n_params,) default parameters
     theta_box            : BoxSpec over the parameters
-    forward(length, amps, shifts, etas, thetas) -> (values, lo, ctx)
-    adjoint(weights, ctx, amps, shifts, etas, thetas)
-        -> (grad_a, grad_mu, grad_theta)
-    accumulate(out, amps, shifts, etas, thetas)      # adds the model
-    sampled_pattern(eta)  -> (offsets, values)       # at theta_nil
-    support_halfwidth()   -> float
+    forward(length, atoms)       -> (values, lo, ctx)
+    adjoint(weights, ctx, atoms) -> (grad_a, grad_mu, grad_theta)
+    accumulate(out, atoms)       # adds the model to out
+    sampled_pattern(eta)         -> (offsets, values) at theta_nil
+    support_halfwidth()          -> float
 
 ``forward`` evaluates the model on its span: ``values`` holds the model
 on the samples ``lo <= s < lo + len(values)`` of a grid of ``length``
@@ -44,8 +43,7 @@ the forward pass, and returns the gradients of the atoms' parameters.
 The loss therefore touches only the span on each evaluation; the
 lifted target and the error of the empty model are computed once per
 pursuit.  Families backed by a dictionary additionally expose
-``dict_backprop(weights, amps, shifts, etas, thetas)`` with weights on
-the whole grid.
+``dict_backprop(weights, atoms)`` with weights on the whole grid.
 """
 
 from dataclasses import dataclass
@@ -56,6 +54,9 @@ from .errors import DomainError
 from .optim import BoxSpec, minimize_box
 
 DELTA = 1e-10
+#: A residual peak must dominate the samples within this radius to be
+#: picked by :func:`select_peaks`.
+PEAK_RADIUS = 3
 
 
 @dataclass
@@ -66,7 +67,6 @@ class PursuitConfig:
     n_spr: int = 1
     n_itr: int = None        # defaults to 2 * n_spr * n_patterns
     selector: str = "xcorr"  # "xcorr" or "peaks"
-    n_dom: int = 3
     max_evals: int = 400
     # Candidates (and refined atoms) whose lifted amplitude falls below
     # this fraction of the frame's lifted maximum are treated as numeric
@@ -78,6 +78,13 @@ class PursuitConfig:
             raise DomainError("q must lie in (0, 1]")
         if not 0.0 < self.lam <= 1.0:
             raise DomainError("lam must lie in (0, 1]")
+        for name in ("n_pre", "n_spr", "max_evals"):
+            if not getattr(self, name) >= 1:
+                raise DomainError(f"{name} must be >= 1")
+        if self.n_itr is not None and not self.n_itr >= 1:
+            raise DomainError("n_itr must be None or >= 1")
+        if not (np.isfinite(self.floor_rel) and self.floor_rel >= 0.0):
+            raise DomainError("floor_rel must be finite and >= 0")
 
     def iterations(self, n_patterns):
         if self.n_itr is not None:
@@ -130,14 +137,13 @@ class Atoms:
 @dataclass
 class PursuitResult:
     atoms: Atoms
-    amplitude_sums: np.ndarray
     loss: float
 
 
 def _model(length, atoms, family):
     out = np.zeros(length)
     if len(atoms):
-        family.accumulate(out, atoms.a, atoms.mu, atoms.eta, atoms.theta)
+        family.accumulate(out, atoms)
     return out
 
 
@@ -167,16 +173,13 @@ def loss(Y, atoms, family, cfg, with_dict_grad=False):
     # The model is zero off its span, where the error is e0's.
     err = Y.e0.copy()
     if len(atoms):
-        model, lo, ctx = family.forward(len(err), atoms.a, atoms.mu,
-                                        atoms.eta, atoms.theta)
+        model, lo, ctx = family.forward(len(err), atoms)
         hi = lo + len(model)
         shifted = model + DELTA
         np.subtract(Y.lifted[lo:hi], shifted ** q, out=err[lo:hi])
         # dL/dmodel on the span
         weights = -2.0 * q * err[lo:hi] * shifted ** (q - 1.0)
-        g_a, g_mu, g_theta = family.adjoint(weights, ctx, atoms.a,
-                                            atoms.mu, atoms.eta,
-                                            atoms.theta)
+        g_a, g_mu, g_theta = family.adjoint(weights, ctx, atoms)
     else:
         lo, weights = 0, np.zeros(0)
         g_a = np.zeros(0)
@@ -186,8 +189,7 @@ def loss(Y, atoms, family, cfg, with_dict_grad=False):
     if with_dict_grad:
         grid_weights = np.zeros(len(err))
         grid_weights[lo:lo + len(weights)] = weights
-        g_dict = family.dict_backprop(grid_weights, atoms.a, atoms.mu,
-                                      atoms.eta, atoms.theta)
+        g_dict = family.dict_backprop(grid_weights, atoms)
         return value, g_a, g_mu, g_theta, g_dict
     return value, g_a, g_mu, g_theta
 
@@ -238,14 +240,14 @@ def select_peaks(residual, family, cfg, n_pick, floor=0.0):
     """Pick the largest strictly positive local maxima of the residual.
 
     A sample qualifies when it dominates its neighborhood of radius
-    ``cfg.n_dom`` (non-strictly to the right, strictly to the left, so
-    a flat plateau contributes its lowest index only once).  Peak
+    :data:`PEAK_RADIUS` (non-strictly to the right, strictly to the
+    left, so a flat plateau contributes its lowest index only once).  Peak
     heights seed the amplitudes; the pattern index is always 0.
     """
     r = np.asarray(residual, dtype=np.float64)
     m = len(r)
     ok = r > max(floor, 0.0)
-    for k in range(1, cfg.n_dom + 1):
+    for k in range(1, PEAK_RADIUS + 1):
         right = np.empty(m)
         right[:m - k] = r[k:]
         right[m - k:] = -np.inf
@@ -267,11 +269,9 @@ _SELECTORS = {"xcorr": select_xcorr, "peaks": select_peaks}
 
 
 def _refine(target, atoms, family, cfg):
-    """Jointly refine (a, mu, theta) of all atoms with L-BFGS-B."""
+    """Jointly refine (a, mu, theta) of all atoms with L-BFGS-B; the
+    pursuit calls it with at least one atom."""
     n = len(atoms)
-    if n == 0:
-        v, *_ = loss(target, atoms, family, cfg)
-        return v
     n_par = family.n_params
     x0 = np.concatenate([atoms.a, atoms.mu, atoms.theta.ravel()])
     lower = np.concatenate([np.zeros(n), np.full(n, -np.inf),
@@ -307,9 +307,8 @@ def _sparsify(atoms, n_patterns, n_spr):
 def pursue(Y, family, cfg):
     """Run the full pursuit loop on one sample vector.
 
-    Returns a :class:`PursuitResult` with the accepted atoms, the
-    per-pattern amplitude sums (for the caller's pruning statistics)
-    and the final loss value.
+    Returns a :class:`PursuitResult` with the accepted atoms and the
+    final loss value.
     """
     Y = np.asarray(Y, dtype=np.float64)
     if len(Y) == 0:
@@ -351,7 +350,5 @@ def pursue(Y, family, cfg):
             atoms = snapshot
             break
         prev_loss = cur_loss
-    amp_sums = np.zeros(family.n_patterns)
-    np.add.at(amp_sums, atoms.eta, atoms.a)
     final_loss, *_ = loss(target, atoms, family, cfg)
-    return PursuitResult(atoms, amp_sums, final_loss)
+    return PursuitResult(atoms, final_loss)

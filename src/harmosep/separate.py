@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .audio import partial_frequencies
 from .dictlearn import Dictionary, harmonic_family, training_config
 from .errors import DomainError
 from .kernels import gaussian_accumulate
@@ -36,7 +37,6 @@ def reconstruct_instrument(atoms_per_frame, eta, family, shape):
     shift on ``family.axis``) with the atom's bin-domain width; partials
     beyond the grid end fall off the rasterizer.
     """
-    h = np.arange(1, family.n_har + 1, dtype=np.float64)
     out = np.zeros(shape)
     for t, atoms in enumerate(atoms_per_frame):
         for j in np.flatnonzero(atoms.eta == eta):
@@ -44,7 +44,7 @@ def reconstruct_instrument(atoms_per_frame, eta, family, shape):
             # A Python float: 2.0 ** x on it rounds as libm's pow does,
             # which NumPy's vectorised power does not always match.
             f1 = family.axis.frequency(float(atoms.mu[j]))
-            centers = np.sqrt(1.0 + b * h**2) * h * f1
+            centers = partial_frequencies(f1, family.n_har, b)
             amps = atoms.a[j] * family.D[:, eta]
             stds = np.full(family.n_har, sigma * family.bin_scale)
             gaussian_accumulate(out[:, t], centers, amps, stds)
@@ -93,8 +93,8 @@ def separate(U, Z, phase, dictionary, kept, n_spr, *, stft_cfg=None,
         return SpectrogramGrid(values, stft_cfg, Z.frame_period_s)
 
     chosen = masked if use_mask else parts
-    signals = [griffin_lim(grid(v), phase, gl_iters, stft_cfg,
-                           length=length) for v in chosen]
+    signals = [griffin_lim(grid(v), phase, gl_iters, length=length)
+               for v in chosen]
     return SeparationResult(atoms_per_frame,
                             [grid(p) for p in parts],
                             [grid(m) for m in masked],

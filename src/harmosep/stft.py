@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .audio import AudioClip
 from .errors import ConfigError, DomainError
 
 PGM_DYNAMIC_RANGE_DB = 100.0    # grey scale of save_pgm, dB below peak
@@ -152,25 +153,32 @@ def stft_magnitude(clip, cfg):
 
     Returns ``(grid, phase)`` where the grid holds the (non-squared)
     STFT modulus on a linear frequency axis and ``phase`` the matching
-    phase angles, retained for Griffin-Lim initialization.
+    phase angles, retained for Griffin-Lim initialization.  ``cfg``
+    must be made for the clip's sample rate.
     """
+    if clip.sample_rate_hz != cfg.sample_rate_hz:
+        raise DomainError(
+            f"clip sampled at {clip.sample_rate_hz} Hz, STFT configured "
+            f"for {cfg.sample_rate_hz} Hz"
+        )
     spec = stft_complex(clip.samples, cfg)
     grid = SpectrogramGrid(np.abs(spec), cfg, cfg.frame_period_s)
     return grid, np.angle(spec)
 
 
-def griffin_lim(target_magnitude, initial_phase, iterations, cfg,
-                length=None):
+def griffin_lim(target_magnitude, initial_phase, iterations, length=None):
     """Phase retrieval by alternating magnitude imposition and
     STFT-consistency projection.
 
     Each iteration imposes the target magnitude on the current complex
     spectrogram, inverts it, and re-analyzes the resulting signal.  The
     spectrogram mismatch is non-increasing across iterations, and a
-    consistent magnitude/phase pair is a fixed point.
+    consistent magnitude/phase pair is a fixed point.  The STFT is the
+    grid's ``axis``, which must be a :class:`StftConfig`.
     """
-    from .audio import AudioClip
-
+    cfg = target_magnitude.axis
+    if not isinstance(cfg, StftConfig):
+        raise DomainError("Griffin-Lim needs a linear-axis spectrogram")
     mag = target_magnitude.values
     if mag.shape != initial_phase.shape:
         raise DomainError("magnitude and phase grids differ in shape")

@@ -231,8 +231,7 @@ def blind_runs():
         res = separate(U, Z, phase, dictionary, kept, 1,
                        stft_cfg=DESK_STFT, length=len(mix.samples),
                        pursuit_overrides=dict(max_evals=45))
-        unmasked = [griffin_lim(grid, phase, 1, DESK_STFT,
-                                length=len(mix.samples))
+        unmasked = [griffin_lim(grid, phase, 1, length=len(mix.samples))
                     for grid in res.inst_spectrograms]
         runs.append((bss_eval(refs, res.signals),
                      bss_eval(refs, unmasked)))
@@ -285,7 +284,7 @@ def test_criterion_8_griffin_lim():
     grid, phase = stft_magnitude(AudioClip(x, 48000), cfg)
 
     # a consistent magnitude/phase pair is a fixed point
-    out = griffin_lim(grid, phase, 1, cfg, length=n)
+    out = griffin_lim(grid, phase, 1, length=n)
     interior = slice(cfg.window_length, n - cfg.window_length)
     err = np.linalg.norm(out.samples[interior] - x[interior])
     assert err / np.linalg.norm(x[interior]) < 1e-6
@@ -294,7 +293,7 @@ def test_criterion_8_griffin_lim():
     bad_phase = rng.uniform(-np.pi, np.pi, size=spec.shape)
     errors = []
     for iters in range(1, 6):
-        y = griffin_lim(grid, bad_phase, iters, cfg, length=n)
+        y = griffin_lim(grid, bad_phase, iters, length=n)
         mag = np.abs(stft_complex(y.samples, cfg))
         errors.append(np.linalg.norm(mag - grid.values))
     for previous, current in zip(errors, errors[1:]):

@@ -78,8 +78,7 @@ def test_harmonic_family_single_partial_pattern():
     D[0, 0] = 1.0
     fam = harmonic_family(Dictionary(D))
     out = np.zeros(500)
-    fam.accumulate(out, np.array([2.0]), np.array([250.0]),
-                   np.array([0]), fam.theta_nil[None, :])
+    fam.accumulate(out, Atoms([2.0], [250.0], [0], fam.theta_nil[None, :]))
     assert np.argmax(out) == 250
     assert out[250] == pytest.approx(2.0, rel=1e-6)
 
@@ -146,9 +145,8 @@ def test_train_is_deterministic():
     values = np.zeros((1024, 4))
     fam = harmonic_family(Dictionary(np.full((8, 1), 0.5)), )
     for t in range(4):
-        fam.accumulate(values[:, t], np.array([0.5]),
-                       np.array([300.0 + 40 * t]), np.array([0]),
-                       fam.theta_nil[None, :])
+        fam.accumulate(values[:, t], Atoms([0.5], [300.0 + 40 * t], [0],
+                                           fam.theta_nil[None, :]))
     U = _log_grid(values)
     kwargs = dict(n_ins=1, n_spr=1, n_trn=10, seed=3, prune_interval=10,
                   n_har=8, pursuit_overrides=dict(max_evals=40))

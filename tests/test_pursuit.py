@@ -21,6 +21,11 @@ def test_config_validation():
         PursuitConfig(q=0.0)
     with pytest.raises(DomainError):
         PursuitConfig(lam=1.5)
+    for bad in (dict(n_pre=0), dict(n_spr=0), dict(n_spr=-1),
+                dict(max_evals=0), dict(n_itr=0), dict(floor_rel=-1e-6),
+                dict(floor_rel=np.nan), dict(floor_rel=np.inf)):
+        with pytest.raises(DomainError):
+            PursuitConfig(**bad)
     assert PursuitConfig(n_spr=3).iterations(2) == 12
     assert PursuitConfig(n_itr=7).iterations(2) == 7
 
@@ -75,7 +80,7 @@ def test_select_xcorr_skips_negative_residual():
 
 def test_select_peaks_dominance_radius():
     fam = family()
-    cfg = PursuitConfig(q=1.0, n_dom=3)
+    cfg = PursuitConfig(q=1.0)
     r = np.zeros(40)
     r[10] = 1.0
     r[12] = 0.9   # within radius 3 of the larger peak: suppressed
@@ -86,7 +91,7 @@ def test_select_peaks_dominance_radius():
 
 def test_select_peaks_plateau_counted_once():
     fam = family()
-    cfg = PursuitConfig(q=1.0, n_dom=2)
+    cfg = PursuitConfig(q=1.0)
     r = np.zeros(30)
     r[14:17] = 1.0
     a, mu, _, _ = select_peaks(r, fam, cfg, 10)
@@ -95,7 +100,7 @@ def test_select_peaks_plateau_counted_once():
 
 def test_select_peaks_ranks_by_height():
     fam = family()
-    cfg = PursuitConfig(q=1.0, n_dom=1)
+    cfg = PursuitConfig(q=1.0)
     r = np.zeros(50)
     heights = {5: 0.2, 15: 0.9, 25: 0.5, 35: 0.7}
     for i, h in heights.items():
@@ -106,7 +111,7 @@ def test_select_peaks_ranks_by_height():
 
 def test_selector_floor_drops_noise():
     fam = family()
-    cfg = PursuitConfig(q=1.0, n_dom=1)
+    cfg = PursuitConfig(q=1.0)
     r = np.zeros(50)
     r[10] = 1.0
     r[30] = 1e-9
@@ -129,7 +134,7 @@ def test_pursue_recovers_two_atoms_exactly():
     assert mu[1] == pytest.approx(130.6, abs=1e-4)
     assert a[1] == pytest.approx(0.55, abs=1e-4)
     assert res.loss < 1e-8
-    assert res.amplitude_sums[0] == pytest.approx(1.55, abs=1e-3)
+    assert res.atoms.a.sum() == pytest.approx(1.55, abs=1e-3)
 
 
 def test_pursue_respects_sparsity_budget():
@@ -137,7 +142,7 @@ def test_pursue_respects_sparsity_budget():
     centers = np.array([20.0, 60.0, 100.0, 140.0, 180.0])
     Y = sample_gaussian(centers, np.ones(5), np.full(5, 2.0), 220)
     cfg = PursuitConfig(q=1.0, lam=1.0, n_pre=5, n_spr=3, n_itr=6,
-                        selector="peaks", n_dom=3)
+                        selector="peaks")
     res = pursue(Y, fam, cfg)
     assert len(res.atoms) <= 3
 
@@ -146,7 +151,7 @@ def test_pursue_zero_input_yields_no_atoms():
     fam = family()
     res = pursue(np.zeros(100), fam, PursuitConfig())
     assert len(res.atoms) == 0
-    assert res.amplitude_sums[0] == 0.0
+    assert res.atoms.a.sum() == 0.0
 
 
 def test_pursue_rejects_negative_input():
@@ -188,6 +193,46 @@ def _harmonic_family():
 _FAMILIES = {"peak": family, "harmonic": _harmonic_family}
 
 
+def _theta_in_box(draw, fam, n):
+    lower, upper = fam.theta_box.lower, fam.theta_box.upper
+    unit = draw(st.lists(st.floats(0.0, 1.0), min_size=fam.n_params * n,
+                         max_size=fam.n_params * n))
+    return lower + (upper - lower) * np.reshape(unit, (n, fam.n_params))
+
+
+@st.composite
+def _family_atoms(draw, length=300):
+    """A family and atoms of it on the grid, straddling an edge, or off
+    the grid."""
+    fam = _FAMILIES[draw(st.sampled_from(sorted(_FAMILIES)))]()
+    n = draw(st.integers(0, 4))
+    hw = fam.support_halfwidth()
+    end = length - 1.0
+    shift = st.one_of(st.floats(0.0, end),
+                      st.floats(-hw, hw), st.floats(end - hw, end + hw),
+                      st.floats(-1e6, -hw), st.floats(end + hw, 1e6))
+    atoms = Atoms(draw(st.lists(st.floats(0.0, 2.0), min_size=n,
+                                max_size=n)),
+                  draw(st.lists(shift, min_size=n, max_size=n)),
+                  draw(st.lists(st.integers(0, fam.n_patterns - 1),
+                                min_size=n, max_size=n)),
+                  _theta_in_box(draw, fam, n))
+    return fam, atoms, length
+
+
+@settings(max_examples=100, deadline=None)
+@given(_family_atoms())
+def test_forward_on_its_span_equals_accumulate(problem):
+    # The selector's residual comes from accumulate, the loss from
+    # forward: both must see the same model, to the last bit.
+    fam, atoms, length = problem
+    values, lo, _ = fam.forward(length, atoms)
+    assert 0 <= lo and lo + len(values) <= length
+    placed = np.zeros(length)
+    placed[lo:lo + len(values)] = values
+    assert np.array_equal(placed, fam.accumulate(np.zeros(length), atoms))
+
+
 @st.composite
 def _pursuit_problems(draw, length=260):
     """A family, a frame of its own atoms plus nonnegative noise, and a
@@ -198,18 +243,15 @@ def _pursuit_problems(draw, length=260):
     def floats(lo, hi):
         return st.lists(st.floats(lo, hi), min_size=n, max_size=n)
 
-    lower, upper = fam.theta_box.lower, fam.theta_box.upper
-    theta = lower + (upper - lower) * np.array(
-        draw(st.lists(floats(0.0, 1.0), min_size=fam.n_params,
-                      max_size=fam.n_params))).reshape(fam.n_params, n).T
+    theta = _theta_in_box(draw, fam, n)
     Y = np.zeros(length)
     if n:
-        fam.accumulate(Y, np.array(draw(floats(0.0, 2.0))),
-                       np.array(draw(floats(0.0, length - 1.0))),
-                       np.array(draw(st.lists(
-                           st.integers(0, fam.n_patterns - 1),
-                           min_size=n, max_size=n)), dtype=np.int64),
-                       theta)
+        fam.accumulate(Y, Atoms(draw(floats(0.0, 2.0)),
+                                draw(floats(0.0, length - 1.0)),
+                                draw(st.lists(
+                                    st.integers(0, fam.n_patterns - 1),
+                                    min_size=n, max_size=n)),
+                                theta))
     Y += draw(arrays(np.float64, length, elements=st.floats(0.0, 0.05)))
     cfg = PursuitConfig(q=draw(st.sampled_from([0.5, 1.0])),
                         lam=draw(st.sampled_from([0.9, 1.0])),
@@ -234,5 +276,3 @@ def test_pursue_invariants(problem):
                   & (atoms.theta <= fam.theta_box.upper))
     assert np.all(np.bincount(atoms.eta, minlength=n_pat) <= cfg.n_spr)
     assert res.loss <= loss(Y, Atoms.empty(fam.n_params), fam, cfg)[0]
-    assert np.array_equal(res.amplitude_sums,
-                          np.bincount(atoms.eta, atoms.a, minlength=n_pat))

@@ -138,5 +138,5 @@ def test_separate_resynthesizes_the_chosen_spectrograms(use_mask):
                               res.masked_spectrograms[0].values)
     chosen = res.masked_spectrograms if use_mask else res.inst_spectrograms
     for grid, signal in zip(chosen, res.signals):
-        expect = griffin_lim(grid, phase, 2, scfg, length=n)
+        expect = griffin_lim(grid, phase, 2, length=n)
         assert np.array_equal(signal.samples, expect.samples)

@@ -3,8 +3,8 @@ import pytest
 
 from harmosep.audio import AudioClip, synth_harmonic_tone
 from harmosep.errors import ConfigError, DomainError
-from harmosep.stft import (LogAxis, StftConfig, griffin_lim, istft, save_pgm,
-                           stft_complex, stft_magnitude)
+from harmosep.stft import (LogAxis, SpectrogramGrid, StftConfig, griffin_lim,
+                           istft, save_pgm, stft_complex, stft_magnitude)
 
 
 @pytest.fixture
@@ -85,14 +85,14 @@ def test_griffin_lim_zero_magnitude_is_silent(cfg):
     clip = synth_harmonic_tone(500.0, [1.0], 0.0, 0.4, 48000)
     grid, phase = stft_magnitude(clip, cfg)
     grid.values[:] = 0.0
-    out = griffin_lim(grid, phase, 1, cfg, length=len(clip.samples))
+    out = griffin_lim(grid, phase, 1, length=len(clip.samples))
     assert np.all(out.samples == 0.0)
 
 
 def test_griffin_lim_consistent_pair_is_fixed_point(cfg):
     clip = synth_harmonic_tone(700.0, [1.0, 0.3], 0.0, 1.0, 48000)
     grid, phase = stft_magnitude(clip, cfg)
-    out = griffin_lim(grid, phase, 1, cfg, length=len(clip.samples))
+    out = griffin_lim(grid, phase, 1, length=len(clip.samples))
     interior = slice(cfg.window_length, len(clip.samples) - cfg.window_length)
     rel = (np.linalg.norm(out.samples[interior] - clip.samples[interior])
            / np.linalg.norm(clip.samples[interior]))
@@ -106,8 +106,7 @@ def test_griffin_lim_error_non_increasing(cfg, rng):
     phase = rng.uniform(-np.pi, np.pi, grid.values.shape)
     errors = []
     for iters in range(1, 6):
-        out = griffin_lim(grid, phase, iters, cfg,
-                          length=len(clip.samples))
+        out = griffin_lim(grid, phase, iters, length=len(clip.samples))
         mag, _ = stft_magnitude(out, cfg)
         errors.append(np.linalg.norm(mag.values - grid.values))
     assert all(b <= a * (1 + 1e-9) for a, b in zip(errors, errors[1:]))
@@ -117,9 +116,22 @@ def test_griffin_lim_validates_arguments(cfg):
     clip = synth_harmonic_tone(500.0, [1.0], 0.0, 0.4, 48000)
     grid, phase = stft_magnitude(clip, cfg)
     with pytest.raises(DomainError):
-        griffin_lim(grid, phase[:, :-1], 1, cfg)
+        griffin_lim(grid, phase[:, :-1], 1)
     with pytest.raises(DomainError):
-        griffin_lim(grid, phase, 0, cfg)
+        griffin_lim(grid, phase, 0)
+    log_grid = SpectrogramGrid(grid.values, LogAxis(), grid.frame_period_s)
+    with pytest.raises(DomainError):
+        griffin_lim(log_grid, phase, 1)
+
+
+def test_stft_follows_the_clip_sample_rate():
+    clip = synth_harmonic_tone(500.0, [1.0], 0.0, 0.4, 44100)
+    with pytest.raises(DomainError):
+        stft_magnitude(clip, StftConfig(hop_samples=2048))
+    cfg = StftConfig(sample_rate_hz=44100, hop_samples=2048)
+    grid, phase = stft_magnitude(clip, cfg)
+    assert grid.frame_period_s == 2048 / 44100
+    assert griffin_lim(grid, phase, 1).sample_rate_hz == 44100
 
 
 def test_save_pgm(tmp_path, cfg):
