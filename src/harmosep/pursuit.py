@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, OptimizationError
 from .optim import BoxSpec, minimize_box
 
 DELTA = 1e-10
@@ -270,24 +270,42 @@ _SELECTORS = {"xcorr": select_xcorr, "peaks": select_peaks}
 
 def _refine(target, atoms, family, cfg):
     """Jointly refine (a, mu, theta) of all atoms with L-BFGS-B; the
-    pursuit calls it with at least one atom."""
+    pursuit calls it with at least one atom.
+
+    Returns the refined loss.  If the loss turns NaN, the atoms keep
+    the best valid iterate and its loss; if there is none, they stay as
+    they came and the result is ``inf``, which ends the pursuit.
+    """
     n = len(atoms)
     n_par = family.n_params
     x0 = np.concatenate([atoms.a, atoms.mu, atoms.theta.ravel()])
-    lower = np.concatenate([np.zeros(n), np.full(n, -np.inf),
-                            np.tile(family.theta_box.lower, n)])
-    upper = np.concatenate([np.full(n, np.inf), np.full(n, np.inf),
-                            np.tile(family.theta_box.upper, n)])
+    box = BoxSpec(
+        np.concatenate([np.zeros(n), np.full(n, -np.inf),
+                        np.tile(family.theta_box.lower, n)]),
+        np.concatenate([np.full(2 * n, np.inf),
+                        np.tile(family.theta_box.upper, n)]))
+    # One gradient buffer for every evaluation; minimize_box reads it
+    # before the next evaluation overwrites it.
+    grad = np.empty(len(x0))
+    grad_theta = grad[2 * n:].reshape(n, n_par)
 
     def objective(x):
         atoms.a = x[:n]
         atoms.mu = x[n:2 * n]
         atoms.theta = x[2 * n:].reshape(n, n_par)
         v, g_a, g_mu, g_theta = loss(target, atoms, family, cfg)
-        return v, np.concatenate([g_a, g_mu, g_theta.ravel()])
+        grad[:n] = g_a
+        grad[n:2 * n] = g_mu
+        grad_theta[...] = g_theta
+        return v, grad
 
-    x, f = minimize_box(objective, x0, BoxSpec(lower, upper),
-                        max_evals=cfg.max_evals)
+    try:
+        x, f = minimize_box(objective, x0, box, max_evals=cfg.max_evals)
+    except OptimizationError as err:
+        if err.best_x is None:
+            x, f = x0, np.inf
+        else:
+            x, f = box.clip(err.best_x), err.best_f
     atoms.a = x[:n]
     atoms.mu = x[n:2 * n]
     atoms.theta = x[2 * n:].reshape(n, n_par)
@@ -341,7 +359,9 @@ def pursue(Y, family, cfg):
         cur_loss = _refine(target, atoms, family, cfg)
         n_before = len(atoms)
         _sparsify(atoms, family.n_patterns, cfg.n_spr)
-        if len(atoms) != n_before:
+        # An infinite loss is a refine without a valid iterate; the
+        # check below then ends the pursuit at the snapshot.
+        if len(atoms) != n_before and np.isfinite(cur_loss):
             cur_loss = _refine(target, atoms, family, cfg)
         # Drop dead atoms and shifts that left the sampled support.
         atoms.keep((atoms.a > amp_floor)

@@ -17,6 +17,9 @@ from .audio import AudioClip
 from .errors import ConfigError, DomainError
 
 PGM_DYNAMIC_RANGE_DB = 100.0    # grey scale of save_pgm, dB below peak
+#: Frames that :func:`stft_complex` windows and transforms at a time;
+#: its windowed copy holds this many frames, not the whole signal's.
+STFT_BLOCK_FRAMES = 16
 
 
 def _check_positive(config):
@@ -120,8 +123,13 @@ def stft_complex(x, cfg):
             f"signal of {len(x)} samples is shorter than the "
             f"{cfg.window_length}-sample analysis window"
         )
-    frames, _ = _frame(x, cfg)
-    return np.fft.rfft(frames * cfg.window()[None, :], axis=1).T
+    frames, n_frames = _frame(x, cfg)
+    window = cfg.window()
+    spec = np.empty((n_frames, cfg.n_bins), dtype=np.complex128)
+    for lo in range(0, n_frames, STFT_BLOCK_FRAMES):
+        block = frames[lo:lo + STFT_BLOCK_FRAMES]
+        spec[lo:lo + STFT_BLOCK_FRAMES] = np.fft.rfft(block * window, axis=1)
+    return spec.T
 
 
 def istft(spec, cfg, length):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from harmosep import logspect, pursuit
 from harmosep.errors import DomainError, FormatError
 from harmosep.kernels import sample_gaussian
 from harmosep.logspect import (gaussian_family, load_log_cache,
@@ -70,6 +71,58 @@ def test_two_lines_log_distance():
     assert len(strong) == 2
     d = axis.alpha(strong[1]) - axis.alpha(strong[0])
     assert d == pytest.approx(102.4 * np.log2(f2 / f1), abs=0.2)
+
+
+class NanOnCall:
+    """A pattern family whose ``forward`` returns NaN on its ``k``-th
+    call and otherwise passes through to ``family``."""
+
+    def __init__(self, family, k):
+        self.family, self.k, self.calls = family, k, 0
+
+    def __getattr__(self, name):
+        return getattr(self.family, name)
+
+    def forward(self, length, atoms):
+        self.calls += 1
+        values, lo, ctx = self.family.forward(length, atoms)
+        if self.calls == self.k:
+            values = np.full_like(values, np.nan)
+        return values, lo, ctx
+
+
+@pytest.mark.parametrize("k", [1, 2, 20])
+def test_nan_in_one_frame_is_recovered_in_that_frame(monkeypatch, k):
+    # At k = 1 the first refine has no valid iterate, so the middle
+    # frame ends empty; later NaNs keep the refine's best iterate.
+    Z = _line_grid([10.24, 40.0], [1.0, 0.5])
+    Z.values *= [1.0, 0.7, 0.4]
+    cfg = transform_config(n_itr=3)
+    clean, clean_atoms = to_log_spectrogram(Z, pursuit_cfg=cfg)
+    frames = iter(range(3))
+    poisoned = []
+
+    def pursue_poisoning_the_middle_frame(Y, family, cfg):
+        if next(frames) == 1:
+            family = NanOnCall(family, k)
+            poisoned.append(family)
+        return pursuit.pursue(Y, family, cfg)
+
+    monkeypatch.setattr(logspect, "pursue", pursue_poisoning_the_middle_frame)
+    U, atoms = to_log_spectrogram(Z, pursuit_cfg=cfg)
+    assert poisoned[0].calls >= k
+    for t in (0, 2):
+        assert np.array_equal(U.values[:, t], clean.values[:, t])
+        for name in ("a", "mu", "eta", "theta"):
+            assert np.array_equal(getattr(atoms[t], name),
+                                  getattr(clean_atoms[t], name))
+    assert np.all(np.isfinite(U.values[:, 1]))
+    for name in ("a", "mu", "theta"):
+        assert np.all(np.isfinite(getattr(atoms[1], name)))
+    if k == 1:
+        assert len(atoms[1]) == 0
+    else:
+        assert len(atoms[1]) > 0
 
 
 def test_zero_spectrogram_stays_zero():

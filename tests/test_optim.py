@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import Bounds, minimize
 
 from harmosep.errors import DomainError, OptimizationError
 from harmosep.optim import AdamState, BoxSpec, adam_step, minimize_box
@@ -54,6 +56,132 @@ def test_minimize_box_nan_raises_with_best_iterate():
         minimize_box(objective, np.array([0.0]), box)
     assert info.value.best_x is not None
     assert np.isfinite(info.value.best_f)
+
+
+def scipy_minimize_box(objective, x0, box, max_evals=1000):
+    """``minimize_box`` written on ``scipy.optimize.minimize``: the
+    reference that its own loop over the compiled L-BFGS-B routine must
+    match bit for bit."""
+    x0 = box.clip(np.asarray(x0, dtype=np.float64))
+    best = {"x": None, "f": np.inf}
+
+    def wrapped(x):
+        f, g = objective(x)
+        if np.isnan(f) or np.any(np.isnan(g)):
+            raise OptimizationError("objective returned NaN",
+                                    best_x=best["x"], best_f=best["f"])
+        if f < best["f"]:
+            best["x"] = x.copy()
+            best["f"] = f
+        return f, np.asarray(g, dtype=np.float64)
+
+    minimize(wrapped, x0, jac=True, method="L-BFGS-B",
+             bounds=Bounds(box.lower, box.upper),
+             options={"maxfun": max_evals, "maxiter": max_evals,
+                      "ftol": 1e-15, "gtol": 1e-12})
+    return box.clip(best["x"]), best["f"]
+
+
+def weighted_quadratic(rng, n):
+    w = rng.uniform(0.1, 10.0, size=n)
+    c = rng.normal(scale=3.0, size=n)
+
+    def objective(x):
+        d = x - c
+        return float(w @ (d * d)), 2.0 * w * d
+    return objective
+
+
+def rosenbrock_chain(rng, n):
+    c = rng.normal(scale=3.0, size=n)
+
+    def objective(x):
+        r = x[1:] - x[:-1] ** 2
+        v = 100.0 * (r @ r) + np.sum((1.0 - x[:-1]) ** 2) \
+            + 0.01 * np.sum((x - c) ** 2)
+        g = 0.02 * (x - c)
+        g[1:] += 200.0 * r
+        g[:-1] += -400.0 * x[:-1] * r - 2.0 * (1.0 - x[:-1])
+        return float(v), g
+    return objective
+
+
+def random_box(rng, n):
+    """Free, one-sided, finite and fixed variables, mixed."""
+    lower = rng.normal(size=n) - 1.0
+    upper = lower + rng.uniform(0.0, 3.0, size=n) * (rng.random(n) < 0.9)
+    return BoxSpec(np.where(rng.random(n) < 0.5, -np.inf, lower),
+                   np.where(rng.random(n) < 0.5, np.inf, upper))
+
+
+def refine_box(rng, n):
+    """``pursuit._refine``'s layout: amplitudes in [0, inf), free
+    shifts, then the atoms' parameter rows in a finite box."""
+    n_par = int(rng.integers(1, 3))
+    n_atoms = max(1, n // (2 + n_par))
+    lower = rng.uniform(0.0, 1.0, size=n_par)
+    upper = lower + rng.uniform(0.0, 2.0, size=n_par)
+    return BoxSpec(
+        np.concatenate([np.zeros(n_atoms), np.full(n_atoms, -np.inf),
+                        np.tile(lower, n_atoms)]),
+        np.concatenate([np.full(2 * n_atoms, np.inf),
+                        np.tile(upper, n_atoms)]))
+
+
+def run_recorded(minimizer, objective, x0, box, max_evals, nan_at):
+    """The points ``minimizer`` evaluated, and how it ended: returned
+    ``(x, f)`` or raised with ``(best_x, best_f)``.  The objective
+    returns NaN at its ``nan_at``-th evaluation."""
+    points = []
+
+    def recorded(x):
+        points.append(x.copy())
+        if len(points) == nan_at:
+            return np.nan, np.zeros_like(x)
+        return objective(x)
+
+    try:
+        x, f = minimizer(recorded, x0, box, max_evals=max_evals)
+    except OptimizationError as err:
+        return points, "raised", err.best_x, err.best_f
+    return points, "returned", x, f
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 300),
+       layout=st.sampled_from([random_box, refine_box]),
+       make_objective=st.sampled_from([weighted_quadratic,
+                                       rosenbrock_chain]),
+       max_evals=st.integers(1, 60),
+       nan_at=st.none() | st.integers(1, 60))
+def test_minimize_box_matches_scipy_minimize_bitwise(seed, n, layout,
+                                                     make_objective,
+                                                     max_evals, nan_at):
+    rng = np.random.default_rng(seed)
+    box = layout(rng, n)
+    n = len(box.lower)
+    objective = make_objective(rng, n)
+    x0 = rng.normal(scale=2.0, size=n)
+    ours = run_recorded(minimize_box, objective, x0, box, max_evals, nan_at)
+    ref = run_recorded(scipy_minimize_box, objective, x0, box, max_evals,
+                       nan_at)
+    points, ending, x, f = ours
+    ref_points, ref_ending, ref_x, ref_f = ref
+    assert len(points) == len(ref_points)
+    assert all(np.array_equal(p, q) for p, q in zip(points, ref_points))
+    assert ending == ref_ending
+    assert (x is None and ref_x is None) or np.array_equal(x, ref_x)
+    assert f == ref_f
+
+
+def test_minimize_box_with_every_variable_fixed_evaluates_once():
+    box = BoxSpec(np.arange(3.0), np.arange(3.0))
+    for minimizer in (minimize_box, scipy_minimize_box):
+        points, ending, x, f = run_recorded(
+            minimizer, weighted_quadratic(np.random.default_rng(0), 3),
+            np.zeros(3), box, 30, None)
+        assert len(points) == 1 and ending == "returned"
+        assert np.array_equal(x, box.lower)
 
 
 def test_box_validates_ordering():

@@ -3,8 +3,9 @@ import pytest
 
 from harmosep.audio import AudioClip, synth_harmonic_tone
 from harmosep.errors import ConfigError, DomainError
-from harmosep.stft import (LogAxis, SpectrogramGrid, StftConfig, griffin_lim,
-                           istft, save_pgm, stft_complex, stft_magnitude)
+from harmosep.stft import (STFT_BLOCK_FRAMES, LogAxis, SpectrogramGrid,
+                           StftConfig, _frame, griffin_lim, istft, save_pgm,
+                           stft_complex, stft_magnitude)
 
 
 @pytest.fixture
@@ -74,6 +75,20 @@ def test_istft_inverts_stft(cfg, rng):
     interior = slice(cfg.window_length, len(x) - cfg.window_length)
     err = np.linalg.norm(y[interior] - x[interior])
     assert err / np.linalg.norm(x[interior]) < 1e-10
+
+
+@pytest.mark.parametrize("extra_frames", [-1, 0, 1, 5])
+def test_blockwise_stft_equals_one_transform_of_all_frames(rng,
+                                                           extra_frames):
+    # Frame counts around two whole blocks of STFT_BLOCK_FRAMES.
+    cfg = StftConfig(zeta_samples=16.0, hop_samples=8)
+    n_frames = 2 * STFT_BLOCK_FRAMES + extra_frames
+    x = rng.normal(size=1 + (n_frames - 1) * cfg.hop_samples)
+    spec = stft_complex(x, cfg)
+    frames, _ = _frame(x, cfg)
+    whole = np.fft.rfft(frames * cfg.window()[None, :], axis=1).T
+    assert spec.shape == (cfg.n_bins, n_frames)
+    assert np.array_equal(spec, whole)
 
 
 def test_short_clip_rejected(cfg):
