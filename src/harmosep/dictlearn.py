@@ -127,8 +127,6 @@ class HarmonicPatternFamily:
         with the atoms' own parameters held fixed; ``weights_vec`` spans
         the whole grid."""
         g = np.zeros_like(self.D)
-        if len(atoms) == 0:
-            return g
         centers, _, stds, dweights = self._flatten(atoms)
         ip_g, _, _ = gaussian_backprop(weights_vec, centers, stds)
         np.add.at(g.T, atoms.eta,
@@ -222,6 +220,8 @@ def train(U, n_ins, n_spr, n_trn, seed, *, n_har=DEFAULT_N_HAR,
     reinitialized, keeping ``n_ins`` columns intact.  Returns the final
     ``(Dictionary, kept_column_indices)``.
     """
+    if n_ins < 1 or prune_interval < 1:
+        raise ConfigError("n_ins and the prune interval must be >= 1")
     if n_trn % prune_interval != 0:
         raise ConfigError("n_trn must be a multiple of the prune interval")
     if U.values.shape[1] == 0:

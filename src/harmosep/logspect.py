@@ -15,7 +15,7 @@ import struct
 
 import numpy as np
 
-from .errors import DomainError, FormatError
+from .errors import FormatError
 from .kernels import (CUTOFF_SIGMAS, gaussian_accumulate, gaussian_adjoint,
                       gaussian_forward)
 # Unused here, but kept bound: perfbench/tracer.py times each kernel
@@ -23,7 +23,7 @@ from .kernels import (CUTOFF_SIGMAS, gaussian_accumulate, gaussian_adjoint,
 from .kernels import gaussian_backprop  # noqa: F401
 from .optim import BoxSpec
 from .pursuit import PursuitConfig, pursue
-from .stft import LogAxis, SpectrogramGrid, StftConfig
+from .stft import LogAxis, SpectrogramGrid, StftConfig, checked_axis
 
 #: Bounds of the width parameter of both pattern families, as multiples
 #: of the analysis window's own Fourier width sigma_nil.
@@ -104,17 +104,15 @@ def to_log_spectrogram(Z, axis=None, stft_cfg=None, pursuit_cfg=None):
     Runs the Gaussian-peak pursuit independently per frame and renders
     each identified peak as a Gaussian of unchanged amplitude and bin
     width at alpha(mu).  Peaks at non-positive frequencies or outside
-    the representable octave range are dropped.  ``stft_cfg`` defaults
-    to ``Z.axis``.  Returns ``(U, atoms_per_frame)``, with ``U.axis``
+    the representable octave range are dropped.  ``stft_cfg`` may only
+    restate ``Z.axis``.  Returns ``(U, atoms_per_frame)``, with ``U.axis``
     the ``axis`` and the pursuit's :class:`Atoms` of each frame.
     """
     if axis is None:
         axis = LogAxis()
-    if stft_cfg is None:
-        stft_cfg = Z.axis
     if pursuit_cfg is None:
         pursuit_cfg = transform_config()
-    family = gaussian_family(stft_cfg)
+    family = gaussian_family(checked_axis(Z, StftConfig, stft_cfg))
     m = axis.n_bins
     n_frames = Z.values.shape[1]
     U = np.zeros((m, n_frames))
@@ -144,9 +142,7 @@ def save_log_cache(path, grid):
     f0, alpha0, frame_period as float64, then the values as row-major
     float32.
     """
-    axis = grid.axis
-    if not isinstance(axis, LogAxis):
-        raise DomainError("cache files hold log-axis spectrograms only")
+    axis = checked_axis(grid, LogAxis)
     header = _CACHE_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION,
                                 grid.values.shape[0], grid.values.shape[1],
                                 axis.f0, axis.alpha0, grid.frame_period_s)

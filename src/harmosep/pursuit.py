@@ -44,6 +44,7 @@ The loss therefore touches only the span on each evaluation; the
 lifted target and the error of the empty model are computed once per
 pursuit.  Families backed by a dictionary additionally expose
 ``dict_backprop(weights, atoms)`` with weights on the whole grid.
+Every method must accept zero atoms: nothing special-cases them.
 """
 
 from dataclasses import dataclass
@@ -137,25 +138,20 @@ class Atoms:
 @dataclass
 class PursuitResult:
     atoms: Atoms
-    loss: float
-
-
-def _model(length, atoms, family):
-    out = np.zeros(length)
-    if len(atoms):
-        family.accumulate(out, atoms)
-    return out
+    loss: float     # the loss of ``atoms``, carried from the loop
 
 
 class _Target:
-    """The per-pursuit invariants of the loss for one sample vector:
-    the lifted target ``(Y + DELTA)^q`` and the lifted error ``e0`` of
-    the empty model."""
+    """The per-pursuit invariants for one sample vector: the lifted
+    target ``(Y + DELTA)^q``, the lifted error ``e0`` of the empty model
+    and its loss, and ``Y^q`` for the selectors' residual."""
 
     def __init__(self, Y, cfg):
         self.lifted = (Y + DELTA) ** cfg.q
         # Lifted as the loss lifts a model sample that is exactly zero.
         self.e0 = self.lifted - (np.zeros(len(Y)) + DELTA) ** cfg.q
+        self.empty_loss = float(self.e0 @ self.e0)
+        self.powered = Y ** cfg.q
 
 
 def loss(Y, atoms, family, cfg, with_dict_grad=False):
@@ -172,19 +168,13 @@ def loss(Y, atoms, family, cfg, with_dict_grad=False):
     q = cfg.q
     # The model is zero off its span, where the error is e0's.
     err = Y.e0.copy()
-    if len(atoms):
-        model, lo, ctx = family.forward(len(err), atoms)
-        hi = lo + len(model)
-        shifted = model + DELTA
-        np.subtract(Y.lifted[lo:hi], shifted ** q, out=err[lo:hi])
-        # dL/dmodel on the span
-        weights = -2.0 * q * err[lo:hi] * shifted ** (q - 1.0)
-        g_a, g_mu, g_theta = family.adjoint(weights, ctx, atoms)
-    else:
-        lo, weights = 0, np.zeros(0)
-        g_a = np.zeros(0)
-        g_mu = np.zeros(0)
-        g_theta = np.zeros((0, family.n_params))
+    model, lo, ctx = family.forward(len(err), atoms)
+    hi = lo + len(model)
+    shifted = model + DELTA
+    np.subtract(Y.lifted[lo:hi], shifted ** q, out=err[lo:hi])
+    # dL/dmodel on the span
+    weights = -2.0 * q * err[lo:hi] * shifted ** (q - 1.0)
+    g_a, g_mu, g_theta = family.adjoint(weights, ctx, atoms)
     value = float(err @ err)
     if with_dict_grad:
         grid_weights = np.zeros(len(err))
@@ -194,9 +184,9 @@ def loss(Y, atoms, family, cfg, with_dict_grad=False):
     return value, g_a, g_mu, g_theta
 
 
-def lifted_residual(Y, atoms, family, cfg):
-    model = _model(len(Y), atoms, family)
-    return Y ** cfg.q - model ** cfg.q
+def lifted_residual(target, atoms, family, cfg):
+    model = family.accumulate(np.zeros_like(target.powered), atoms)
+    return target.powered - model ** cfg.q
 
 
 def select_xcorr(residual, family, cfg, n_pick, floor=0.0):
@@ -325,8 +315,8 @@ def _sparsify(atoms, n_patterns, n_spr):
 def pursue(Y, family, cfg):
     """Run the full pursuit loop on one sample vector.
 
-    Returns a :class:`PursuitResult` with the accepted atoms and the
-    final loss value.
+    Returns a :class:`PursuitResult` with the accepted atoms and their
+    loss; a non-finite loss raises :class:`OptimizationError`.
     """
     Y = np.asarray(Y, dtype=np.float64)
     if len(Y) == 0:
@@ -338,7 +328,8 @@ def pursue(Y, family, cfg):
     target = _Target(Y, cfg)
     selector = _SELECTORS[cfg.selector]
     atoms = Atoms.empty(family.n_params)
-    prev_loss, *_ = loss(target, atoms, family, cfg)
+    # The loss of ``atoms`` as their last refine left them, before drops.
+    atoms_loss, dropped = target.empty_loss, False
     hw = family.support_halfwidth()
     # Noise floor in lifted amplitude units, relative to the frame peak.
     lifted_peak = float(np.max(target.lifted))
@@ -348,9 +339,9 @@ def pursue(Y, family, cfg):
     # lam-improvement test is dominated by rounding noise.
     loss_floor = len(Y) * (np.finfo(np.float64).eps * lifted_peak) ** 2
     for _ in range(cfg.iterations(family.n_patterns)):
-        if prev_loss <= loss_floor:
+        if atoms_loss <= loss_floor:
             break
-        residual = lifted_residual(Y, atoms, family, cfg)
+        residual = lifted_residual(target, atoms, family, cfg)
         cand = selector(residual, family, cfg, cfg.n_pre, floor)
         if len(cand[0]) == 0:
             break
@@ -363,12 +354,16 @@ def pursue(Y, family, cfg):
         # check below then ends the pursuit at the snapshot.
         if len(atoms) != n_before and np.isfinite(cur_loss):
             cur_loss = _refine(target, atoms, family, cfg)
+        n_refined = len(atoms)
         # Drop dead atoms and shifts that left the sampled support.
         atoms.keep((atoms.a > amp_floor)
                    & (atoms.mu > -hw) & (atoms.mu < len(Y) - 1 + hw))
-        if cur_loss >= cfg.lam * prev_loss:
+        if cur_loss >= cfg.lam * atoms_loss:
             atoms = snapshot
             break
-        prev_loss = cur_loss
-    final_loss, *_ = loss(target, atoms, family, cfg)
-    return PursuitResult(atoms, final_loss)
+        atoms_loss, dropped = cur_loss, len(atoms) != n_refined
+    if dropped:
+        atoms_loss, *_ = loss(target, atoms, family, cfg)
+        if not np.isfinite(atoms_loss):
+            raise OptimizationError("the pursued atoms' loss is not finite")
+    return PursuitResult(atoms, atoms_loss)

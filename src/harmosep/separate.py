@@ -16,7 +16,8 @@ from .dictlearn import Dictionary, harmonic_family, training_config
 from .errors import DomainError
 from .kernels import gaussian_accumulate
 from .pursuit import pursue
-from .stft import SpectrogramGrid, griffin_lim
+from .stft import (LogAxis, SpectrogramGrid, StftConfig, checked_axis,
+                   griffin_lim)
 
 MASK_EPSILON = 1e-12
 
@@ -62,13 +63,13 @@ def separate(U, Z, phase, dictionary, kept, n_spr, *, stft_cfg=None,
     """Separate a mixture into per-instrument audio clips.
 
     ``U`` is the mixture's log-frequency spectrogram, ``Z`` and
-    ``phase`` its linear magnitude and phase grids (``stft_cfg``
-    defaults to ``Z.axis``), ``kept`` the dictionary columns to use and
+    ``phase`` its linear magnitude and phase grids (``stft_cfg`` may
+    only restate ``Z.axis``), ``kept`` the dictionary columns to use and
     ``n_spr`` the per-instrument tone budget per frame.  Outputs follow
     the order of ``kept``.
     """
-    if stft_cfg is None:
-        stft_cfg = Z.axis
+    checked_axis(U, LogAxis)
+    stft_cfg = checked_axis(Z, StftConfig, stft_cfg)
     kept = np.asarray(kept, dtype=np.int64)
     if len(kept) == 0:
         raise DomainError("no dictionary columns to separate with")

@@ -103,6 +103,15 @@ class SpectrogramGrid:
     n_frames = property(lambda self: self.values.shape[1])
 
 
+def checked_axis(grid, kind, expected=None):
+    """``grid.axis``, checked to be a ``kind`` and, if given, ``expected``."""
+    if not isinstance(grid.axis, kind):
+        raise DomainError(f"the spectrogram's axis is not a {kind.__name__}")
+    if expected is not None and expected != grid.axis:
+        raise DomainError(f"{expected} differs from the spectrogram's axis")
+    return grid.axis
+
+
 def _frame(x, cfg):
     n = cfg.window_length
     hop = cfg.hop_samples
@@ -184,9 +193,7 @@ def griffin_lim(target_magnitude, initial_phase, iterations, length=None):
     consistent magnitude/phase pair is a fixed point.  The STFT is the
     grid's ``axis``, which must be a :class:`StftConfig`.
     """
-    cfg = target_magnitude.axis
-    if not isinstance(cfg, StftConfig):
-        raise DomainError("Griffin-Lim needs a linear-axis spectrogram")
+    cfg = checked_axis(target_magnitude, StftConfig)
     mag = target_magnitude.values
     if mag.shape != initial_phase.shape:
         raise DomainError("magnitude and phase grids differ in shape")

@@ -135,6 +135,10 @@ def test_train_validates_inputs():
     U = _log_grid(np.zeros((1024, 5)))
     with pytest.raises(ConfigError):
         train(U, 1, 1, n_trn=7, seed=0, prune_interval=5)
+    with pytest.raises(ConfigError):
+        train(U, n_ins=0, n_spr=1, n_trn=10, seed=0, prune_interval=10)
+    with pytest.raises(ConfigError):
+        train(U, 1, 1, n_trn=10, seed=0, prune_interval=0)
     with pytest.raises(DomainError):
         train(_log_grid(np.zeros((1024, 0))), 1, 1, 10, 0,
               prune_interval=10)

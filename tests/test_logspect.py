@@ -73,26 +73,9 @@ def test_two_lines_log_distance():
     assert d == pytest.approx(102.4 * np.log2(f2 / f1), abs=0.2)
 
 
-class NanOnCall:
-    """A pattern family whose ``forward`` returns NaN on its ``k``-th
-    call and otherwise passes through to ``family``."""
-
-    def __init__(self, family, k):
-        self.family, self.k, self.calls = family, k, 0
-
-    def __getattr__(self, name):
-        return getattr(self.family, name)
-
-    def forward(self, length, atoms):
-        self.calls += 1
-        values, lo, ctx = self.family.forward(length, atoms)
-        if self.calls == self.k:
-            values = np.full_like(values, np.nan)
-        return values, lo, ctx
-
-
 @pytest.mark.parametrize("k", [1, 2, 20])
-def test_nan_in_one_frame_is_recovered_in_that_frame(monkeypatch, k):
+def test_nan_in_one_frame_is_recovered_in_that_frame(monkeypatch, k,
+                                                     nan_on_call):
     # At k = 1 the first refine has no valid iterate, so the middle
     # frame ends empty; later NaNs keep the refine's best iterate.
     Z = _line_grid([10.24, 40.0], [1.0, 0.5])
@@ -104,7 +87,7 @@ def test_nan_in_one_frame_is_recovered_in_that_frame(monkeypatch, k):
 
     def pursue_poisoning_the_middle_frame(Y, family, cfg):
         if next(frames) == 1:
-            family = NanOnCall(family, k)
+            family = nan_on_call(family, k)
             poisoned.append(family)
         return pursuit.pursue(Y, family, cfg)
 
@@ -123,6 +106,18 @@ def test_nan_in_one_frame_is_recovered_in_that_frame(monkeypatch, k):
         assert len(atoms[1]) == 0
     else:
         assert len(atoms[1]) > 0
+
+
+def test_transform_checks_its_grid():
+    Z = _line_grid([10.24], [1.0], n_frames=1)
+    U, _ = to_log_spectrogram(Z, pursuit_cfg=transform_config(n_itr=1))
+    with pytest.raises(DomainError):
+        to_log_spectrogram(U)
+    with pytest.raises(DomainError):
+        to_log_spectrogram(Z, stft_cfg=StftConfig(zeta_samples=512.0))
+    same, _ = to_log_spectrogram(Z, stft_cfg=StftConfig(),
+                                 pursuit_cfg=transform_config(n_itr=1))
+    assert np.array_equal(same.values, U.values)
 
 
 def test_zero_spectrogram_stays_zero():

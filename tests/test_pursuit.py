@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from harmosep import pursuit
 from harmosep.dictlearn import Dictionary, harmonic_family
-from harmosep.errors import DomainError
+from harmosep.errors import DomainError, OptimizationError
 from harmosep.kernels import sample_gaussian
 from harmosep.logspect import GaussianPeakFamily
 from harmosep.pursuit import (DELTA, Atoms, PursuitConfig, loss, pursue,
@@ -31,13 +32,21 @@ def test_config_validation():
 
 
 def test_loss_of_empty_model_is_lifted_energy():
-    fam = family()
+    # The families' kernels handle zero atoms; loss has no special case.
     cfg = PursuitConfig(q=0.5)
     Y = np.abs(np.random.default_rng(0).normal(size=50))
-    v, g_a, g_mu, g_th = loss(Y, Atoms.empty(1), fam, cfg)
     expect = np.sum(((Y + DELTA) ** 0.5 - DELTA ** 0.5) ** 2)
-    assert v == pytest.approx(expect)
-    assert len(g_a) == 0
+    for name, make in sorted(_FAMILIES.items()):
+        fam = make()
+        empty = Atoms.empty(fam.n_params)
+        v, g_a, g_mu, g_th = loss(Y, empty, fam, cfg)
+        assert v == pytest.approx(expect)
+        assert len(g_a) == 0 and len(g_mu) == 0
+        assert g_th.shape == (0, fam.n_params)
+        if name == "harmonic":
+            *_, g_dict = loss(Y, empty, fam, cfg, with_dict_grad=True)
+            assert g_dict.shape == fam.D.shape
+            assert not g_dict.any()
 
 
 def test_loss_gradients_match_finite_differences(rng):
@@ -185,6 +194,59 @@ def test_pursue_termination_restores_previous_atoms():
     assert len(res.atoms) == 1
 
 
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts calls of ``pursuit.loss`` and of the objectives that the
+    refines pass to ``pursuit.minimize_box``."""
+    calls = {"loss": 0, "objective": 0}
+    real_loss, real_minimize = pursuit.loss, pursuit.minimize_box
+
+    def counted_loss(*args, **kwargs):
+        calls["loss"] += 1
+        return real_loss(*args, **kwargs)
+
+    def counted_minimize(objective, *args, **kwargs):
+        def counted_objective(x):
+            calls["objective"] += 1
+            return objective(x)
+        return real_minimize(counted_objective, *args, **kwargs)
+
+    monkeypatch.setattr(pursuit, "loss", counted_loss)
+    monkeypatch.setattr(pursuit, "minimize_box", counted_minimize)
+    return calls
+
+
+def test_pursue_evaluates_the_loss_only_inside_its_refines(counted):
+    # No atom is dropped after a refine, so the loss that pursue returns
+    # is the one its last accepted refine computed.
+    Y = sample_gaussian(np.array([60.25, 130.6]), np.array([1.0, 0.55]),
+                        np.array([2.3, 1.7]), 200)
+    cfg = PursuitConfig(q=1.0, lam=1.0, n_pre=1, n_spr=2, n_itr=3,
+                        selector="xcorr", max_evals=60)
+    res = pursue(Y, family(), cfg)
+    assert len(res.atoms) == 2
+    assert counted["objective"] > 0
+    assert counted["loss"] == counted["objective"]
+
+
+def test_pursue_raises_on_a_non_finite_loss_after_a_drop(counted,
+                                                          nan_on_call):
+    # The last refine leaves an atom below the amplitude floor; pursue
+    # drops it and evaluates the loss once more, in its last forward.
+    rng = np.random.default_rng(2)
+    Y = sample_gaussian(rng.uniform(10, 90, 3), rng.uniform(0.5, 2, 3),
+                        rng.uniform(1, 4, 3), 100)
+    Y += rng.uniform(0, 0.05, 100)
+    cfg = PursuitConfig(q=1.0, lam=1.0, n_pre=4, n_spr=8, n_itr=2,
+                        selector="peaks", max_evals=40, floor_rel=0.1)
+    clean = nan_on_call(family(), None)
+    res = pursue(Y, clean, cfg)
+    assert counted["loss"] == counted["objective"] + 1
+    assert np.isfinite(res.loss)
+    with pytest.raises(OptimizationError):
+        pursue(Y, nan_on_call(family(), clean.calls), cfg)
+
+
 def _harmonic_family():
     D = np.array([[1.0, 0.6], [0.5, 1.0], [0.2, 0.3]])
     return harmonic_family(Dictionary(D))
@@ -276,3 +338,8 @@ def test_pursue_invariants(problem):
                   & (atoms.theta <= fam.theta_box.upper))
     assert np.all(np.bincount(atoms.eta, minlength=n_pat) <= cfg.n_spr)
     assert res.loss <= loss(Y, Atoms.empty(fam.n_params), fam, cfg)[0]
+    # The carried loss is the loss of the atoms; the tolerance covers
+    # a recovered best iterate that the box clipped.
+    assert np.isfinite(res.loss)
+    assert res.loss == pytest.approx(loss(Y, atoms, fam, cfg)[0],
+                                     rel=1e-12, abs=0)

@@ -118,6 +118,14 @@ def test_separate_validates_shapes():
                             scfg.frame_period_s)
     with pytest.raises(DomainError):
         separate(U_bad, Z, phase, d, [0], 1, stft_cfg=scfg)
+    # U on a linear axis, Z on a log axis, a config Z was not made with
+    with pytest.raises(DomainError):
+        separate(Z, Z, phase, d, [0], 1)
+    with pytest.raises(DomainError):
+        separate(U, U, phase[:1024], d, [0], 1)
+    with pytest.raises(DomainError):
+        separate(U, Z, phase, d, [0], 1,
+                 stft_cfg=StftConfig(zeta_samples=512.0))
 
 
 @pytest.mark.parametrize("use_mask", [False, True])
