@@ -50,7 +50,11 @@ def read_wav(path):
     """
     try:
         rate, data = wavfile.read(path)
-    except ValueError as exc:
+    except OSError:
+        raise
+    except Exception as exc:
+        # SciPy's parser also fails on a malformed header with
+        # struct.error, ZeroDivisionError, TypeError or UnboundLocalError.
         raise FormatError(f"cannot parse WAV file {path}: {exc}") from exc
     if data.dtype == np.int16:
         samples = data.astype(np.float64) / INT16_SCALE

@@ -77,15 +77,18 @@ def load_config(path=None, overrides=()):
         cfg[key] = _parse_value(key, value)
 
     if path is not None:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(
-                        f"{path}:{lineno}: expected key=value")
-                apply(*line.split("=", 1), origin=f"{path}:{lineno}")
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path} is not a UTF-8 text file") from None
+        for lineno, line in enumerate(lines, 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{lineno}: expected key=value")
+            apply(*line.split("=", 1), origin=f"{path}:{lineno}")
     for item in overrides or ():
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
@@ -154,12 +157,9 @@ def cmd_transform(args, cfg):
 
 def cmd_train(args, cfg):
     U = logspect.load_log_cache(args.cache)
-    # The sample rate enters neither the peak width nor the window.
-    scfg = stft_config(cfg, StftConfig.sample_rate_hz)
     dictionary, kept = dictlearn.train(
         U, cfg["n_ins"], cfg["n_spr"], cfg["n_trn"], cfg["seed"],
-        n_har=cfg["n_har"], prune_interval=cfg["prune_interval"],
-        stft_cfg=scfg)
+        n_har=cfg["n_har"], prune_interval=cfg["prune_interval"])
     _atomic_write(args.output,
                   lambda tmp: dictlearn.save_dictionary(tmp, dictionary,
                                                         kept))

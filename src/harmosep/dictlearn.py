@@ -26,7 +26,7 @@ from .kernels import (CUTOFF_SIGMAS, gaussian_accumulate, gaussian_adjoint,
 from .logspect import WIDTH_RANGE
 from .optim import AdamState, BoxSpec, adam_step
 from .pursuit import PursuitConfig, loss, pursue
-from .stft import LogAxis, StftConfig
+from .stft import LogAxis, StftConfig, checked_axis
 
 DEFAULT_N_HAR = 25
 DEFAULT_PRUNE_INTERVAL = 500
@@ -212,7 +212,8 @@ def train(U, n_ins, n_spr, n_trn, seed, *, n_har=DEFAULT_N_HAR,
           pursuit_overrides=None):
     """Learn a dictionary from a log-frequency spectrogram.
 
-    Patterns live on ``U.axis``, with the peak width of ``stft_cfg``.
+    Patterns live on ``U.axis``, with the peak width of the window of
+    ``U.stft``; ``stft_cfg`` may only restate ``U.stft``.
     Runs ``n_trn`` stochastic steps: draw a random frame, identify
     tones by pursuit, accumulate the found amplitudes, and take one
     modified-Adam step on the dictionary.  Every ``prune_interval``
@@ -220,6 +221,9 @@ def train(U, n_ins, n_spr, n_trn, seed, *, n_har=DEFAULT_N_HAR,
     reinitialized, keeping ``n_ins`` columns intact.  Returns the final
     ``(Dictionary, kept_column_indices)``.
     """
+    checked_axis(U, LogAxis)
+    if stft_cfg is not None and stft_cfg != U.stft:
+        raise DomainError(f"{stft_cfg} differs from the spectrogram's STFT")
     if n_ins < 1 or prune_interval < 1:
         raise ConfigError("n_ins and the prune interval must be >= 1")
     if n_trn % prune_interval != 0:
@@ -239,7 +243,7 @@ def train(U, n_ins, n_spr, n_trn, seed, *, n_har=DEFAULT_N_HAR,
     kept = np.arange(n_ins)
     for step in range(n_trn):
         t = int(rng.integers(n_frames))
-        family = harmonic_family(dictionary, axis=U.axis, stft_cfg=stft_cfg)
+        family = harmonic_family(dictionary, axis=U.axis, stft_cfg=U.stft)
         result = pursue(U.values[:, t], family, cfg)
         atoms = result.atoms
         if len(atoms):

@@ -7,15 +7,15 @@ log2(f / f0), a :class:`~harmosep.stft.LogAxis`.  With the default
 constants (f0 = 5.12 bins, alpha0 = 102.4, 1024 bins) the axis spans 10
 octaves; at 48 kHz that is 20 Hz .. 20.48 kHz.  Because a pitch change
 moves every partial by the same alpha offset, instrument sounds become
-shift-invariant patterns.  ``U.axis`` and the cache carry the axis, so
-training and separation read it from ``U``.
+shift-invariant patterns.  ``U`` and the cache carry the axis and the
+STFT of ``Z``, so training and separation read both from ``U``.
 """
 
 import struct
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import ConfigError, FormatError
 from .kernels import (CUTOFF_SIGMAS, gaussian_accumulate, gaussian_adjoint,
                       gaussian_forward)
 # Unused here, but kept bound: perfbench/tracer.py times each kernel
@@ -106,7 +106,8 @@ def to_log_spectrogram(Z, axis=None, stft_cfg=None, pursuit_cfg=None):
     width at alpha(mu).  Peaks at non-positive frequencies or outside
     the representable octave range are dropped.  ``stft_cfg`` may only
     restate ``Z.axis``.  Returns ``(U, atoms_per_frame)``, with ``U.axis``
-    the ``axis`` and the pursuit's :class:`Atoms` of each frame.
+    the ``axis``, ``U.stft`` that of ``Z`` and the pursuit's
+    :class:`Atoms` of each frame.
     """
     if axis is None:
         axis = LogAxis()
@@ -127,25 +128,28 @@ def to_log_spectrogram(Z, axis=None, stft_cfg=None, pursuit_cfg=None):
             gaussian_accumulate(U[:, t], alpha[inside],
                                 atoms.a[positive][inside],
                                 family.stds(atoms.theta[positive])[inside])
-    return SpectrogramGrid(U, axis, Z.frame_period_s), atoms_per_frame
+    return SpectrogramGrid(U, Z.stft, axis), atoms_per_frame
 
 
 _CACHE_MAGIC = b"HSLS"
-_CACHE_VERSION = 1
-_CACHE_HEADER = struct.Struct("<4sIII3d")
+_CACHE_VERSION = 2
+_CACHE_HEADER = struct.Struct("<4sIIIII4d")
 
 
 def save_log_cache(path, grid):
     """Write a log-spectrogram to the binary cache format.
 
-    Layout: magic "HSLS", version, n_bins, n_frames (uint32 LE), then
-    f0, alpha0, frame_period as float64, then the values as row-major
-    float32.
+    Layout: magic "HSLS", version, n_bins, n_frames, sample rate, hop
+    (uint32 LE), then f0, alpha0, zeta, window halfwidth as float64,
+    then the values as row-major float32.
     """
     axis = checked_axis(grid, LogAxis)
+    stft = grid.stft
     header = _CACHE_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION,
                                 grid.values.shape[0], grid.values.shape[1],
-                                axis.f0, axis.alpha0, grid.frame_period_s)
+                                stft.sample_rate_hz, stft.hop_samples,
+                                axis.f0, axis.alpha0, stft.zeta_samples,
+                                stft.window_halfwidth)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(grid.values,
@@ -159,18 +163,19 @@ def load_log_cache(path):
         raw = fh.read(_CACHE_HEADER.size)
         if len(raw) < _CACHE_HEADER.size:
             raise FormatError(f"truncated cache file {path}")
-        magic, version, m, n_frames, f0, alpha0, period = \
-            _CACHE_HEADER.unpack(raw)
+        (magic, version, m, n_frames, rate, hop, f0, alpha0, zeta,
+         halfwidth) = _CACHE_HEADER.unpack(raw)
         if magic != _CACHE_MAGIC:
             raise FormatError(f"{path} is not a log-spectrogram cache")
         if version != _CACHE_VERSION:
-            raise FormatError(f"unsupported cache version {version}")
+            raise FormatError(f"unsupported cache version {version} in "
+                              f"{path}; transform the audio again")
         payload = fh.read()
-    if not (np.isfinite([f0, alpha0, period]).all() and f0 > 0.0
-            and alpha0 > 0.0 and period >= 0.0):
-        raise FormatError(f"invalid log axis or frame period in {path}")
-    if m == 0:
-        raise FormatError(f"cache without frequency bins in {path}")
+    try:
+        stft = StftConfig(rate, zeta, hop, halfwidth)
+        axis = LogAxis(f0, alpha0, m)
+    except ConfigError as exc:
+        raise FormatError(f"{exc} in {path}") from None
     if len(payload) != 4 * m * n_frames:
         raise FormatError(f"cache payload size mismatch in {path}")
     data = np.frombuffer(payload, dtype=np.float32)
@@ -178,4 +183,4 @@ def load_log_cache(path):
         raise FormatError(f"cache values must be finite and nonnegative "
                           f"in {path}")
     values = data.reshape(m, n_frames).astype(np.float64)
-    return SpectrogramGrid(values, LogAxis(f0, alpha0, m), period)
+    return SpectrogramGrid(values, stft, axis)

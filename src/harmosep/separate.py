@@ -63,13 +63,16 @@ def separate(U, Z, phase, dictionary, kept, n_spr, *, stft_cfg=None,
     """Separate a mixture into per-instrument audio clips.
 
     ``U`` is the mixture's log-frequency spectrogram, ``Z`` and
-    ``phase`` its linear magnitude and phase grids (``stft_cfg`` may
-    only restate ``Z.axis``), ``kept`` the dictionary columns to use and
-    ``n_spr`` the per-instrument tone budget per frame.  Outputs follow
-    the order of ``kept``.
+    ``phase`` its linear magnitude and phase grids, all made by one STFT
+    (``stft_cfg`` may only restate it), ``kept`` the dictionary columns
+    to use and ``n_spr`` the per-instrument tone budget per frame.
+    Outputs follow the order of ``kept``.
     """
     checked_axis(U, LogAxis)
     stft_cfg = checked_axis(Z, StftConfig, stft_cfg)
+    if U.stft != stft_cfg:
+        raise DomainError("log and linear spectrograms come from different "
+                          "STFTs")
     kept = np.asarray(kept, dtype=np.int64)
     if len(kept) == 0:
         raise DomainError("no dictionary columns to separate with")
@@ -78,7 +81,7 @@ def separate(U, Z, phase, dictionary, kept, n_spr, *, stft_cfg=None,
     if Z.values.shape != phase.shape:
         raise DomainError("magnitude and phase grids differ in shape")
     family = harmonic_family(Dictionary(dictionary.D[:, kept]),
-                             axis=U.axis, stft_cfg=stft_cfg)
+                             axis=U.axis, stft_cfg=U.stft)
     cfg = training_config(n_spr, **(pursuit_overrides or {}))
     atoms_per_frame = [pursue(U.values[:, t], family, cfg).atoms
                        for t in range(U.values.shape[1])]
@@ -91,7 +94,7 @@ def separate(U, Z, phase, dictionary, kept, n_spr, *, stft_cfg=None,
     masked = [apply_mask(part, total, Z.values) for part in parts]
 
     def grid(values):
-        return SpectrogramGrid(values, stft_cfg, Z.frame_period_s)
+        return SpectrogramGrid(values, stft_cfg)
 
     chosen = masked if use_mask else parts
     signals = [griffin_lim(grid(v), phase, gl_iters, length=length)

@@ -4,9 +4,10 @@ The analysis window is a Gaussian of standard deviation ``zeta``
 samples truncated at +/- ``halfwidth * zeta``; the FFT size equals the
 window length, so one frequency bin spans ``sample_rate / n_fft`` Hz
 (3.90625 Hz at 48 kHz with the default constants).  Magnitudes are not
-squared: the grid is positively homogeneous in the input signal.  A
-grid's ``axis`` is the :class:`StftConfig` that made it, or for a log
-spectrogram the :class:`LogAxis` it was rendered on.
+squared: the grid is positively homogeneous in the input signal.  Every
+grid records as ``stft`` the :class:`StftConfig` whose frames it holds;
+its ``axis`` is that config, or for a log spectrogram the
+:class:`LogAxis` it was rendered on.
 """
 
 from dataclasses import dataclass, fields
@@ -41,9 +42,11 @@ class StftConfig:
 
     def __post_init__(self):
         _check_positive(self)
-        if self.window_length < 2:
-            raise ConfigError("the analysis window rounds to fewer than "
-                              "two samples")
+        span = 2.0 * self.window_halfwidth * self.zeta_samples
+        if not np.isfinite(span) or self.window_length < 2:
+            raise ConfigError("the analysis window (zeta_samples times "
+                              "window_halfwidth) must round to a finite "
+                              "length of at least two samples")
 
     @property
     def window_length(self):
@@ -96,9 +99,14 @@ class LogAxis:
 @dataclass
 class SpectrogramGrid:
     values: np.ndarray
-    axis: object             # StftConfig (linear) or LogAxis
-    frame_period_s: float = 0.0
+    stft: StftConfig         # the STFT whose frames the grid holds
+    log_axis: LogAxis = None  # the frequency axis of a log spectrogram
 
+    @property
+    def axis(self):
+        return self.stft if self.log_axis is None else self.log_axis
+
+    frame_period_s = property(lambda self: self.stft.frame_period_s)
     n_bins = property(lambda self: self.values.shape[0])
     n_frames = property(lambda self: self.values.shape[1])
 
@@ -179,7 +187,7 @@ def stft_magnitude(clip, cfg):
             f"for {cfg.sample_rate_hz} Hz"
         )
     spec = stft_complex(clip.samples, cfg)
-    grid = SpectrogramGrid(np.abs(spec), cfg, cfg.frame_period_s)
+    grid = SpectrogramGrid(np.abs(spec), cfg)
     return grid, np.angle(spec)
 
 

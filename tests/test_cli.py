@@ -133,6 +133,7 @@ def short_cache(short_fixture, tmp_path_factory):
     ("transform", "hop=0"),
     ("transform", "hop=-256"),
     ("transform", "zeta=0"),
+    ("transform", "zeta=1e308"),
     ("transform", "window_halfwidth=0"),
     ("transform", "log_bins=0"),
     ("transform", "alpha0=0"),
@@ -162,6 +163,16 @@ def test_missing_input_exits_2(tmp_path):
                  str(tmp_path / "none.dict")]) == 2
 
 
+def test_config_file_not_utf8_exits_1(tmp_path, capsys):
+    config = tmp_path / "bin.cfg"
+    config.write_bytes(b"seed=1\n\xff\xfe\x00\x81\n")
+    assert main(["--config", str(config), "train", "x.hsls",
+                 "-o", str(tmp_path / "d.txt")]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    with pytest.raises(ConfigError):
+        load_config(config)
+
+
 def test_train_requires_schedule_multiple(tmp_path):
     # config validation fires before any file access
     assert main(["--set", "n_trn=123", "train", "x.hsls",
@@ -185,23 +196,26 @@ def test_train_deterministic_bytes(short_fixture, tmp_path):
 
 def test_train_uses_the_configured_window(short_fixture, tmp_path):
     # The harmonic family's peak width comes from the analysis window,
-    # so training must use the window the transform used.
-    window = ["--set", "window_halfwidth=4", "--set", "hop=4096"]
+    # so training must use the window the transform used: the cache
+    # carries it, and train reads no window keys.
+    window = StftConfig(window_halfwidth=4, hop_samples=4096)
     cache = tmp_path / "mix.hsls"
-    assert main(FAST_TRANSFORM + window
-                + ["transform", str(short_fixture / "mix.wav"),
-                   "-o", str(cache)]) == 0
+    assert main(FAST_TRANSFORM + ["--set", "window_halfwidth=4",
+                                  "--set", "hop=4096", "transform",
+                                  str(short_fixture / "mix.wav"),
+                                  "-o", str(cache)]) == 0
+    U = load_log_cache(cache)
+    assert U.stft == window
     budget = ["--set", "n_trn=4", "--set", "prune_interval=2",
               "--set", "n_har=10", "--set", "n_ins=1"]
     from_cli = tmp_path / "cli.txt"
-    assert main(window + budget
-                + ["train", str(cache), "-o", str(from_cli)]) == 0
-    dictionary, kept = train(
-        load_log_cache(cache), 1, 1, 4, 0, n_har=10, prune_interval=2,
-        stft_cfg=StftConfig(window_halfwidth=4, hop_samples=4096))
-    from_library = tmp_path / "library.txt"
-    save_dictionary(from_library, dictionary, kept)
-    assert from_cli.read_bytes() == from_library.read_bytes()
+    assert main(budget + ["train", str(cache), "-o", str(from_cli)]) == 0
+    for stft_cfg in (None, window):
+        dictionary, kept = train(U, 1, 1, 4, 0, n_har=10, prune_interval=2,
+                                 stft_cfg=stft_cfg)
+        from_library = tmp_path / "library.txt"
+        save_dictionary(from_library, dictionary, kept)
+        assert from_cli.read_bytes() == from_library.read_bytes()
 
 
 def test_eval_identical_files(short_fixture, capsys):

@@ -7,7 +7,7 @@ from harmosep.dictlearn import (Dictionary, TrainState, harmonic_family,
 from harmosep.errors import ConfigError, DomainError, FormatError
 from harmosep.optim import AdamState
 from harmosep.pursuit import Atoms, PursuitConfig, loss
-from harmosep.stft import LogAxis, SpectrogramGrid
+from harmosep.stft import LogAxis, SpectrogramGrid, StftConfig
 
 
 def test_dictionary_validates_entries():
@@ -119,7 +119,7 @@ def test_prune_keeps_top_ranked_columns():
 
 
 def _log_grid(values):
-    return SpectrogramGrid(values, LogAxis(5.12, 102.4), 256 / 48000)
+    return SpectrogramGrid(values, StftConfig(), LogAxis(5.12, 102.4))
 
 
 def test_train_zero_spectrogram_is_inert():
@@ -142,6 +142,13 @@ def test_train_validates_inputs():
     with pytest.raises(DomainError):
         train(_log_grid(np.zeros((1024, 0))), 1, 1, 10, 0,
               prune_interval=10)
+    # a linear-axis grid, and a window U was not made with
+    with pytest.raises(DomainError):
+        train(SpectrogramGrid(np.zeros((1024, 5)), StftConfig()), 1, 1, 10,
+              0, prune_interval=10)
+    with pytest.raises(DomainError):
+        train(U, 1, 1, 10, 0, prune_interval=10,
+              stft_cfg=StftConfig(window_halfwidth=4.0))
 
 
 def test_train_is_deterministic():

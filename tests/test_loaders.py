@@ -1,4 +1,4 @@
-"""Malformed dictionary and log-spectrogram cache files must raise
+"""Malformed dictionary, log-spectrogram cache and WAV files must raise
 FormatError, never another exception type."""
 
 import struct
@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from harmosep.audio import AudioClip, read_wav, write_wav
 from harmosep.dictlearn import Dictionary, load_dictionary, save_dictionary
-from harmosep.errors import FormatError
+from harmosep.errors import DomainError, FormatError
 from harmosep.logspect import load_log_cache, save_log_cache
-from harmosep.stft import LogAxis, SpectrogramGrid
+from harmosep.stft import LogAxis, SpectrogramGrid, StftConfig
 
 DICT_HEAD = "harmosep-dict 1\nn_har 2\nn_pat 1\n"
 
@@ -44,7 +45,8 @@ def test_dictionary_loader_rejects_non_utf8(tmp_path):
 
 def _cache_bytes(tmp_path, values):
     path = tmp_path / "u.hsls"
-    save_log_cache(path, SpectrogramGrid(values, LogAxis(5.12, 102.4), 0.01))
+    save_log_cache(path, SpectrogramGrid(values, StftConfig(),
+                                         LogAxis(5.12, 102.4)))
     return path
 
 
@@ -57,21 +59,34 @@ def test_cache_loader_rejects_bad_values(tmp_path, bad):
 
 
 def test_cache_loader_rejects_bad_axis(tmp_path):
+    # f0, the first float of the header, replaced by NaN.
     raw = _cache_bytes(tmp_path, np.ones((2, 2))).read_bytes()
     path = tmp_path / "axis.hsls"
-    head = struct.Struct("<4sIII")
-    path.write_bytes(raw[:head.size] + struct.pack("<3d", np.nan, 102.4, 0.01)
-                     + raw[head.size + 24:])
+    head = struct.Struct("<4sIIIII")
+    path.write_bytes(raw[:head.size] + struct.pack("<d", np.nan)
+                     + raw[head.size + 8:])
     with pytest.raises(FormatError):
         load_log_cache(path)
 
 
 def test_cache_loader_rejects_zero_bins(tmp_path):
-    # A well-formed header of 0 bins x 3 frames and its empty payload.
+    # A well-formed header of 0 bins x 3 frames and its empty payload:
+    # magic, version, n_bins, n_frames, sample rate, hop, then f0,
+    # alpha0, zeta, window halfwidth.
     path = tmp_path / "empty.hsls"
-    path.write_bytes(struct.pack("<4sIII3d", b"HSLS", 1, 0, 3, 5.12, 102.4,
-                                 0.01))
+    path.write_bytes(struct.pack("<4sIIIII4d", b"HSLS", 2, 0, 3, 48000, 256,
+                                 5.12, 102.4, 1024.0, 6.0))
     with pytest.raises(FormatError):
+        load_log_cache(path)
+
+
+def test_cache_loader_rejects_version_1(tmp_path):
+    # Version 1 stored the frame period but not the analysis window.
+    path = tmp_path / "v1.hsls"
+    path.write_bytes(struct.pack("<4sIII3d", b"HSLS", 1, 4, 3, 5.12, 102.4,
+                                 256 / 48000)
+                     + np.ones(12, dtype=np.float32).tobytes())
+    with pytest.raises(FormatError, match="version 1"):
         load_log_cache(path)
 
 
@@ -81,11 +96,21 @@ def _valid_files():
         save_dictionary(d, Dictionary(np.array([[0.5, 1.0], [0.25, 0.0]])),
                         [1])
         c = _cache_bytes(Path(tmp), np.arange(6.0).reshape(3, 2))
-        return {"dictionary": d.read_bytes(), "cache": c.read_bytes()}
+        valid = {"dictionary": [d.read_bytes()], "cache": [c.read_bytes()],
+                 "wav": []}
+        clip = AudioClip(np.linspace(-0.5, 0.5, 8), 48000)
+        for dtype in ("int16", "float32"):
+            w = Path(tmp) / f"{dtype}.wav"
+            write_wav(clip, w, dtype=dtype)
+            valid["wav"].append(w.read_bytes())
+        return valid
 
 
 VALID = _valid_files()
-LOADERS = {"dictionary": load_dictionary, "cache": load_log_cache}
+LOADERS = {"dictionary": load_dictionary, "cache": load_log_cache,
+           "wav": read_wav}
+# An unsupported sample rate is a DomainError of AudioClip.
+ACCEPTED = {"wav": (FormatError, DomainError)}
 
 
 def _edits(valid):
@@ -102,10 +127,11 @@ def _edits(valid):
 @pytest.mark.parametrize("kind", sorted(LOADERS))
 @given(data=st.data())
 def test_loaders_raise_only_format_error(tmp_path, kind, data):
-    raw = data.draw(st.one_of(st.binary(max_size=200), _edits(VALID[kind])))
+    valid = st.sampled_from(VALID[kind]).flatmap(_edits)
+    raw = data.draw(st.one_of(st.binary(max_size=200), valid))
     path = tmp_path / "fuzz"
     path.write_bytes(raw)
     try:
         LOADERS[kind](path)
-    except FormatError:
+    except ACCEPTED.get(kind, FormatError):
         pass

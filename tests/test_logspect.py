@@ -47,7 +47,7 @@ def _line_grid(center_bins, amps, n_frames=3):
                           np.asarray(amps, dtype=np.float64),
                           np.full(len(center_bins), std), cfg.n_bins)
     Z = np.tile(col[:, None], (1, n_frames))
-    return SpectrogramGrid(Z, cfg, cfg.frame_period_s)
+    return SpectrogramGrid(Z, cfg)
 
 
 def test_single_line_maps_to_expected_log_bin():
@@ -111,6 +111,7 @@ def test_nan_in_one_frame_is_recovered_in_that_frame(monkeypatch, k,
 def test_transform_checks_its_grid():
     Z = _line_grid([10.24], [1.0], n_frames=1)
     U, _ = to_log_spectrogram(Z, pursuit_cfg=transform_config(n_itr=1))
+    assert U.stft == Z.stft and U.axis == LogAxis()
     with pytest.raises(DomainError):
         to_log_spectrogram(U)
     with pytest.raises(DomainError):
@@ -122,7 +123,7 @@ def test_transform_checks_its_grid():
 
 def test_zero_spectrogram_stays_zero():
     cfg = StftConfig()
-    Z = SpectrogramGrid(np.zeros((cfg.n_bins, 2)), cfg, cfg.frame_period_s)
+    Z = SpectrogramGrid(np.zeros((cfg.n_bins, 2)), cfg)
     U, atoms = to_log_spectrogram(Z, pursuit_cfg=transform_config(n_itr=2))
     assert np.all(U.values == 0.0)
     assert all(len(a) == 0 for a in atoms)
@@ -137,18 +138,21 @@ def test_out_of_range_peaks_dropped():
 
 def test_cache_round_trip(tmp_path, rng):
     values = rng.random((64, 7))
+    stft = StftConfig(sample_rate_hz=44100, zeta_samples=512.5,
+                      hop_samples=1024, window_halfwidth=4.0)
     grid = SpectrogramGrid(values.astype(np.float32).astype(np.float64),
-                           LogAxis(5.12, 102.4), 256 / 48000)
+                           stft, LogAxis(5.12, 102.4, 64))
     path = tmp_path / "u.hsls"
     save_log_cache(path, grid)
     back = load_log_cache(path)
     assert np.array_equal(back.values, grid.values)
-    assert back.axis.f0 == 5.12 and back.axis.alpha0 == 102.4
-    assert back.frame_period_s == pytest.approx(256 / 48000)
+    assert back.axis == LogAxis(5.12, 102.4, 64)
+    assert back.stft == stft
+    assert back.frame_period_s == 1024 / 44100
 
 
 def test_cache_rejects_linear_axis(tmp_path):
-    grid = SpectrogramGrid(np.zeros((4, 4)), StftConfig(), 0.01)
+    grid = SpectrogramGrid(np.zeros((4, 4)), StftConfig())
     with pytest.raises(DomainError):
         save_log_cache(tmp_path / "z.hsls", grid)
 
@@ -161,7 +165,8 @@ def test_cache_rejects_garbage(tmp_path):
 
 
 def test_cache_rejects_truncated_payload(tmp_path):
-    grid = SpectrogramGrid(np.ones((8, 8)), LogAxis(5.12, 102.4), 0.01)
+    grid = SpectrogramGrid(np.ones((8, 8)), StftConfig(),
+                           LogAxis(5.12, 102.4))
     path = tmp_path / "trunc.hsls"
     save_log_cache(path, grid)
     raw = path.read_bytes()

@@ -89,10 +89,9 @@ def test_masked_parts_conserve_mixture(rng):
 def _silent_setup():
     scfg = StftConfig()
     n_frames = 3
-    U = SpectrogramGrid(np.zeros((1024, n_frames)), LogAxis(5.12, 102.4),
-                        scfg.frame_period_s)
-    Z = SpectrogramGrid(np.zeros((scfg.n_bins, n_frames)),
-                        scfg, scfg.frame_period_s)
+    U = SpectrogramGrid(np.zeros((1024, n_frames)), scfg,
+                        LogAxis(5.12, 102.4))
+    Z = SpectrogramGrid(np.zeros((scfg.n_bins, n_frames)), scfg)
     phase = np.zeros((scfg.n_bins, n_frames))
     return scfg, U, Z, phase
 
@@ -114,8 +113,7 @@ def test_separate_validates_shapes():
         separate(U, Z, phase[:, :-1], d, [0, 1], 1, stft_cfg=scfg)
     with pytest.raises(DomainError):
         separate(U, Z, phase, d, [], 1, stft_cfg=scfg)
-    U_bad = SpectrogramGrid(np.zeros((1024, 5)), LogAxis(5.12, 102.4),
-                            scfg.frame_period_s)
+    U_bad = SpectrogramGrid(np.zeros((1024, 5)), scfg, LogAxis(5.12, 102.4))
     with pytest.raises(DomainError):
         separate(U_bad, Z, phase, d, [0], 1, stft_cfg=scfg)
     # U on a linear axis, Z on a log axis, a config Z was not made with
@@ -126,6 +124,12 @@ def test_separate_validates_shapes():
     with pytest.raises(DomainError):
         separate(U, Z, phase, d, [0], 1,
                  stft_cfg=StftConfig(zeta_samples=512.0))
+    # U of as many frames as Z, from another window
+    other = StftConfig(zeta_samples=512.0)
+    U_other, _ = to_log_spectrogram(
+        SpectrogramGrid(np.zeros((other.n_bins, 3)), other))
+    with pytest.raises(DomainError):
+        separate(U_other, Z, phase, d, [0], 1)
 
 
 @pytest.mark.parametrize("use_mask", [False, True])

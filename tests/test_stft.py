@@ -134,7 +134,7 @@ def test_griffin_lim_validates_arguments(cfg):
         griffin_lim(grid, phase[:, :-1], 1)
     with pytest.raises(DomainError):
         griffin_lim(grid, phase, 0)
-    log_grid = SpectrogramGrid(grid.values, LogAxis(), grid.frame_period_s)
+    log_grid = SpectrogramGrid(grid.values, grid.stft, LogAxis())
     with pytest.raises(DomainError):
         griffin_lim(log_grid, phase, 1)
 
@@ -145,6 +145,7 @@ def test_stft_follows_the_clip_sample_rate():
         stft_magnitude(clip, StftConfig(hop_samples=2048))
     cfg = StftConfig(sample_rate_hz=44100, hop_samples=2048)
     grid, phase = stft_magnitude(clip, cfg)
+    assert grid.stft == cfg and grid.axis == cfg
     assert grid.frame_period_s == 2048 / 44100
     assert griffin_lim(grid, phase, 1).sample_rate_hz == 44100
 
