@@ -1,5 +1,18 @@
 """Blind source separation for polyphonic music by sparse pursuit of
-shifted continuous patterns over a log-frequency spectrogram."""
+shifted continuous patterns over a log-frequency spectrogram.
+
+Importing the package caps the BLAS/OpenMP thread pools at one thread
+unless the environment already sets them: the pursuit's vector
+operations are too small to split, and a second BLAS thread only slows
+L-BFGS-B on a busy machine.  This holds only if NumPy is not yet
+imported.
+"""
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from .audio import AudioClip, read_wav, synth_harmonic_tone, write_wav
 from .dictlearn import (Dictionary, HarmonicPatternFamily, harmonic_family,

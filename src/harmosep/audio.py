@@ -46,10 +46,16 @@ def read_wav(path):
     """Read a RIFF WAV file as a mono AudioClip.
 
     16-bit integer and 32-bit float PCM are supported; multi-channel
-    input is averaged to mono.
+    input is averaged to mono.  A file shorter than its header says
+    raises :class:`FormatError`.
     """
     try:
-        rate, data = wavfile.read(path)
+        with warnings.catch_warnings():
+            # SciPy returns what it found of a data chunk cut short by
+            # the end of the file, with only this warning.
+            warnings.filterwarnings("error", "Reached EOF prematurely",
+                                    wavfile.WavFileWarning)
+            rate, data = wavfile.read(path)
     except OSError:
         raise
     except Exception as exc:

@@ -26,7 +26,7 @@ from .kernels import (CUTOFF_SIGMAS, gaussian_accumulate, gaussian_adjoint,
 from .logspect import WIDTH_RANGE
 from .optim import AdamState, BoxSpec, adam_step
 from .pursuit import PursuitConfig, loss, pursue
-from .stft import LogAxis, StftConfig, checked_axis
+from .stft import LogAxis, checked_axis
 
 DEFAULT_N_HAR = 25
 DEFAULT_PRUNE_INTERVAL = 500
@@ -77,7 +77,6 @@ class HarmonicPatternFamily:
         h = np.arange(1, self.n_har + 1, dtype=np.float64)
         self._log2_h = np.log2(h)
         self._h2 = h**2
-        self._patterns = self._sample_patterns()
 
     def partial_offsets(self, b):
         """Log-axis offsets of the partials relative to the fundamental;
@@ -133,36 +132,15 @@ class HarmonicPatternFamily:
                   atoms.a[:, None] * ip_g.reshape(dweights.shape))
         return g
 
-    def _sample_patterns(self):
-        """Every column's pattern at theta_nil on the integer offsets
-        of its support."""
-        std = self.sigma_nil * self.bin_scale
-        offs = self.partial_offsets(0.0)
-        hw = int(np.ceil(CUTOFF_SIGMAS * std)) + 1
-        lo = -hw
-        hi = int(np.ceil(offs[-1])) + hw
-        grid = np.arange(lo, hi + 1, dtype=np.float64)
-        bumps = np.exp(-(grid[:, None] - offs[None, :]) ** 2
-                       / (2.0 * std**2))
-        offsets = np.arange(lo, hi + 1)
-        return [(offsets, (self.D[:, eta][None, :] * bumps).sum(axis=1))
-                for eta in range(self.n_patterns)]
-
-    def sampled_pattern(self, eta):
-        return self._patterns[eta]
-
     def support_halfwidth(self):
         top = self.axis.alpha0 * np.log2(
             self.n_har * np.sqrt(1.0 + DEFAULT_B_MAX * self.n_har**2))
         return top + CUTOFF_SIGMAS * self.theta_box.upper[0] * self.bin_scale
 
 
-def harmonic_family(dictionary, axis=None, stft_cfg=None):
-    """Build the harmonic pattern family for a dictionary."""
-    if axis is None:
-        axis = LogAxis()
-    if stft_cfg is None:
-        stft_cfg = StftConfig()
+def harmonic_family(dictionary, axis, stft_cfg):
+    """Build the harmonic pattern family for a dictionary on the log
+    axis ``axis``, with the peak width of the window of ``stft_cfg``."""
     return HarmonicPatternFamily(dictionary.D, axis, stft_cfg.sigma_nil,
                                  stft_cfg.window_length)
 

@@ -68,21 +68,12 @@ class GaussianPeakFamily:
         a = atoms.a
         return ip_g, a * ip_dc, (a * ip_ds * self.bin_scale)[:, None]
 
-    def sampled_pattern(self, eta):
-        std = self.sigma_nil * self.bin_scale
-        hw = int(np.ceil(CUTOFF_SIGMAS * std)) + 1
-        offsets = np.arange(-hw, hw + 1)
-        return offsets, np.exp(-offsets.astype(np.float64) ** 2
-                               / (2.0 * std**2))
-
     def support_halfwidth(self):
         return CUTOFF_SIGMAS * self.theta_box.upper[0] * self.bin_scale
 
 
-def gaussian_family(stft_cfg=None):
+def gaussian_family(stft_cfg):
     """Pattern family matching the STFT's own peak shape."""
-    if stft_cfg is None:
-        stft_cfg = StftConfig()
     return GaussianPeakFamily(stft_cfg.sigma_nil, stft_cfg.window_length)
 
 

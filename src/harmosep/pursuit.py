@@ -32,7 +32,6 @@ axis as ``axis``).  Required surface, with ``atoms`` an :class:`Atoms`::
     forward(length, atoms)       -> (values, lo, ctx)
     adjoint(weights, ctx, atoms) -> (grad_a, grad_mu, grad_theta)
     accumulate(out, atoms)       # adds the model to out
-    sampled_pattern(eta)         -> (offsets, values) at theta_nil
     support_halfwidth()          -> float
 
 ``forward`` evaluates the model on its span: ``values`` holds the model
@@ -45,6 +44,9 @@ lifted target and the error of the empty model are computed once per
 pursuit.  Families backed by a dictionary additionally expose
 ``dict_backprop(weights, atoms)`` with weights on the whole grid.
 Every method must accept zero atoms: nothing special-cases them.
+:func:`select_xcorr` samples each pattern as the family's own
+``forward`` of a unit atom at ``theta_nil``, so preselection and
+refinement see the same model.
 """
 
 from dataclasses import dataclass
@@ -189,6 +191,16 @@ def lifted_residual(target, atoms, family, cfg):
     return target.powered - model ** cfg.q
 
 
+def _sampled_pattern(family, eta):
+    """Pattern ``eta`` at ``theta_nil`` on the integer offsets of its
+    span: the family's ``forward`` of a unit atom at the centre of a
+    grid wide enough for its whole support."""
+    c = int(np.ceil(family.support_halfwidth()))
+    atom = Atoms([1.0], [c], [eta], family.theta_nil[None, :])
+    values, lo, _ = family.forward(2 * c + 1, atom)
+    return np.arange(lo, lo + len(values)) - c, values
+
+
 def select_xcorr(residual, family, cfg, n_pick, floor=0.0):
     """Pick the shift/pattern pairs with the largest cross-correlation
     between the lifted residual and the lifted sampled patterns.
@@ -199,7 +211,7 @@ def select_xcorr(residual, family, cfg, n_pick, floor=0.0):
     m = len(residual)
     best = []
     for eta in range(family.n_patterns):
-        offsets, values = family.sampled_pattern(eta)
+        offsets, values = _sampled_pattern(family, eta)
         yq = values ** cfg.q
         norm = np.linalg.norm(yq)
         if norm == 0.0:

@@ -61,6 +61,27 @@ def test_unsupported_sample_format(tmp_path):
         read_wav(path)
 
 
+def test_truncated_data_chunk_rejected(tmp_path):
+    path = tmp_path / "cut.wav"
+    write_wav(AudioClip(np.zeros(48000), 48000), path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:len(raw) // 2])
+    with pytest.raises(FormatError, match="Reached EOF prematurely"):
+        read_wav(path)
+
+
+def test_unknown_chunk_skipped_with_warning(tmp_path):
+    path = tmp_path / "extra.wav"
+    write_wav(AudioClip(np.zeros(100), 48000), path)
+    raw = bytearray(path.read_bytes() + b"abcd" + (4).to_bytes(4, "little")
+                    + bytes(4))
+    raw[4:8] = (len(raw) - 8).to_bytes(4, "little")
+    path.write_bytes(raw)
+    with pytest.warns(wavfile.WavFileWarning, match="not understood"):
+        clip = read_wav(path)
+    assert len(clip.samples) == 100
+
+
 def test_partial_frequencies_harmonic():
     f = partial_frequencies(100.0, 4)
     assert np.allclose(f, [100, 200, 300, 400])

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import harmosep
 from harmosep.audio import read_wav
 from harmosep.cli import DEFAULTS, load_config, main
 from harmosep.dictlearn import save_dictionary, train
@@ -269,3 +275,19 @@ def test_dictionary_transfers_to_another_recording(tmp_path):
     refs = [read_wav(other_clip / f"ref{k}.wav") for k in range(2)]
     ests = [read_wav(stems / f"mix.inst{k}.wav") for k in range(2)]
     assert bss_eval(refs, ests).sdr_db.min() >= TRANSFER_SDR_FLOOR_DB
+
+
+@pytest.mark.parametrize("given, expected", [(None, "1"), ("2", "2")])
+def test_importing_the_package_caps_blas_threads(given, expected):
+    # The console script imports the package before its cli module.
+    env = {k: v for k, v in os.environ.items()
+           if not k.endswith("_THREADS")}
+    env["PYTHONPATH"] = str(Path(harmosep.__file__).parents[1])
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    out = subprocess.run(
+        [sys.executable, "-c", "import os, harmosep.cli; "
+         "print(os.environ['OPENBLAS_NUM_THREADS'], "
+         "os.environ['OMP_NUM_THREADS'])"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == [expected, "1"]

@@ -10,6 +10,10 @@ from harmosep.pursuit import Atoms, PursuitConfig, loss
 from harmosep.stft import LogAxis, SpectrogramGrid, StftConfig
 
 
+def _family(D):
+    return harmonic_family(Dictionary(D), LogAxis(), StftConfig())
+
+
 def test_dictionary_validates_entries():
     with pytest.raises(DomainError):
         Dictionary(np.array([[1.5]]))
@@ -64,7 +68,7 @@ def test_init_column_exponent_distribution(rng):
 
 
 def test_harmonic_offsets():
-    fam = harmonic_family(Dictionary(np.full((25, 1), 0.5)))
+    fam = _family(np.full((25, 1), 0.5))
     offs = fam.partial_offsets(0.0)
     assert offs[0] == 0.0
     assert offs[1] == pytest.approx(102.4)
@@ -76,7 +80,7 @@ def test_harmonic_offsets():
 def test_harmonic_family_single_partial_pattern():
     D = np.zeros((4, 1))
     D[0, 0] = 1.0
-    fam = harmonic_family(Dictionary(D))
+    fam = _family(D)
     out = np.zeros(500)
     fam.accumulate(out, Atoms([2.0], [250.0], [0], fam.theta_nil[None, :]))
     assert np.argmax(out) == 250
@@ -85,7 +89,7 @@ def test_harmonic_family_single_partial_pattern():
 
 def test_dict_gradient_matches_finite_differences(rng):
     D = rng.random((6, 2))
-    fam = harmonic_family(Dictionary(D))
+    fam = _family(D)
     cfg = PursuitConfig(q=0.5)
     Y = np.abs(rng.normal(size=1024)) * 0.1
     arrays = Atoms([0.8, 0.6], [400.3, 550.1], [0, 1],
@@ -95,9 +99,9 @@ def test_dict_gradient_matches_finite_differences(rng):
     for hh in range(6):
         for eta in range(2):
             Dp = D.copy(); Dp[hh, eta] += h
-            fp = loss(Y, arrays, harmonic_family(Dictionary(Dp)), cfg)[0]
+            fp = loss(Y, arrays, _family(Dp), cfg)[0]
             Dm = D.copy(); Dm[hh, eta] -= h
-            fm = loss(Y, arrays, harmonic_family(Dictionary(Dm)), cfg)[0]
+            fm = loss(Y, arrays, _family(Dm), cfg)[0]
             num = (fp - fm) / (2 * h)
             assert abs(num - gD[hh, eta]) <= 1e-5 * max(abs(num), 1e-3)
 
@@ -154,7 +158,7 @@ def test_train_validates_inputs():
 def test_train_is_deterministic():
     rng = np.random.default_rng(7)
     values = np.zeros((1024, 4))
-    fam = harmonic_family(Dictionary(np.full((8, 1), 0.5)), )
+    fam = _family(np.full((8, 1), 0.5))
     for t in range(4):
         fam.accumulate(values[:, t], Atoms([0.5], [300.0 + 40 * t], [0],
                                            fam.theta_nil[None, :]))

@@ -35,7 +35,7 @@ def test_gaussian_family_shape():
 
 
 def test_gaussian_family_box():
-    fam = gaussian_family()
+    fam = gaussian_family(StftConfig())
     assert fam.theta_box.lower[0] == pytest.approx(0.25 * fam.sigma_nil)
     assert fam.theta_box.upper[0] == pytest.approx(4 * fam.sigma_nil)
 

@@ -10,6 +10,7 @@ from harmosep.kernels import sample_gaussian
 from harmosep.logspect import GaussianPeakFamily
 from harmosep.pursuit import (DELTA, Atoms, PursuitConfig, loss, pursue,
                               select_peaks, select_xcorr)
+from harmosep.stft import LogAxis, StftConfig
 
 
 def family(sigma_nil=2.0):
@@ -68,16 +69,21 @@ def test_loss_gradients_match_finite_differences(rng):
             assert abs(num - g) <= 1e-5 * max(abs(num), 1e-3)
 
 
-def test_select_xcorr_locates_shifted_pattern():
-    fam = family()
-    cfg = PursuitConfig(q=1.0)
-    Y = sample_gaussian(np.array([41.0]), np.array([2.0]),
-                        np.array([2.0]), 100)
-    a, mu, eta, theta = select_xcorr(Y, fam, cfg, 1)
+@pytest.mark.parametrize("q", [0.5, 1.0])
+@pytest.mark.parametrize("kind", ["peak", "harmonic"])
+def test_select_xcorr_locates_shifted_pattern(kind, q):
+    # The frame is the family's own model of one atom at theta_nil, so
+    # the correlation peaks at the atom and recovers its amplitude.
+    fam = _FAMILIES[kind]()
+    eta = fam.n_patterns - 1
+    Y = fam.accumulate(np.zeros(260), Atoms([2.0], [41.0], [eta],
+                                            fam.theta_nil[None, :]))
+    cfg = PursuitConfig(q=q)
+    a, mu, etas, theta = select_xcorr(Y ** q, fam, cfg, 1)
     assert len(a) == 1
-    assert mu[0] == 41.0
-    assert a[0] == pytest.approx(2.0, rel=0.05)
-    assert eta[0] == 0 and theta[0, 0] == fam.theta_nil[0]
+    assert mu[0] == 41.0 and etas[0] == eta
+    assert a[0] == pytest.approx(2.0, rel=1e-12)
+    assert np.array_equal(theta[0], fam.theta_nil)
 
 
 def test_select_xcorr_skips_negative_residual():
@@ -249,7 +255,7 @@ def test_pursue_raises_on_a_non_finite_loss_after_a_drop(counted,
 
 def _harmonic_family():
     D = np.array([[1.0, 0.6], [0.5, 1.0], [0.2, 0.3]])
-    return harmonic_family(Dictionary(D))
+    return harmonic_family(Dictionary(D), LogAxis(), StftConfig())
 
 
 _FAMILIES = {"peak": family, "harmonic": _harmonic_family}

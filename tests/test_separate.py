@@ -13,7 +13,7 @@ from harmosep.stft import (LogAxis, SpectrogramGrid, StftConfig, griffin_lim,
 
 
 def _family(D):
-    return harmonic_family(Dictionary(D))
+    return harmonic_family(Dictionary(D), LogAxis(), StftConfig())
 
 
 def test_reconstruct_single_partial_atom():
