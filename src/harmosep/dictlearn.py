@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, FormatError
 from .kernels import (CUTOFF_SIGMAS, gaussian_accumulate, gaussian_adjoint,
-                      gaussian_backprop, gaussian_forward)
+                      gaussian_backprop, gaussian_curvature,
+                      gaussian_forward)
 from .logspect import WIDTH_RANGE
 from .optim import AdamState, BoxSpec, adam_step
 from .pursuit import PursuitConfig, loss, pursue
@@ -120,6 +121,21 @@ class HarmonicPatternFamily:
         doff = self._doffsets_db(atoms.theta[:, 1][:, None])
         g_b = a * (dw_dc * doff).sum(axis=1)
         return g_a, g_mu, np.stack([g_sigma, g_b], axis=1)
+
+    def curvature(self, row_weights, ctx, atoms):
+        # Sums over the partials, weighted by D^2: the cross terms of
+        # partials whose windows overlap are left out.
+        cache, dweights = ctx
+        sq_g, sq_dc, sq_ds = (sq.reshape(dweights.shape) for sq in
+                              gaussian_curvature(row_weights, cache))
+        dw2 = dweights**2
+        a2 = atoms.a**2
+        dw2_dc = dw2 * sq_dc
+        c_sigma = a2 * (dw2 * sq_ds).sum(axis=1) * self.bin_scale**2
+        doff = self._doffsets_db(atoms.theta[:, 1][:, None])
+        c_b = a2 * (dw2_dc * doff**2).sum(axis=1)
+        return ((dw2 * sq_g).sum(axis=1), a2 * dw2_dc.sum(axis=1),
+                np.stack([c_sigma, c_b], axis=1))
 
     def dict_backprop(self, weights_vec, atoms):
         """Gradient of the loss with respect to the dictionary entries,

@@ -12,6 +12,8 @@ bumps on that span together with ``lo``, and :func:`gaussian_adjoint`
 takes a weight vector on the same span.  Window entries that fall off
 the grid go to two padding slots, one on each side of the span, which
 the forward pass discards and the adjoint pass reads as zero weight.
+:func:`gaussian_curvature` reads the same windows for the weighted
+squared norms that scale the pursuit's refines.
 """
 
 import math
@@ -92,6 +94,14 @@ def gaussian_forward(length, centers, amps, stds):
     return acc[1:n + 1], lo, cache
 
 
+def _gathered(weights, slots):
+    """``weights`` on the span, read at the window slots; the padding
+    slots read zero."""
+    padded = np.zeros(len(weights) + 2)
+    padded[1:-1] = weights
+    return padded.take(slots)
+
+
 def gaussian_adjoint(weights, cache):
     """Inner products of a weight vector on the span with each bump
     and its partials, reusing the windows of :func:`gaussian_forward`.
@@ -104,9 +114,7 @@ def gaussian_adjoint(weights, cache):
         z = np.zeros(0)
         return z, z.copy(), z.copy()
     slots, d, g, stds = cache
-    padded = np.zeros(len(weights) + 2)
-    padded[1:-1] = weights
-    wg = padded.take(slots)
+    wg = _gathered(weights, slots)
     wg *= g
     inv_var = 1.0 / stds**2
     ip_g = wg.sum(axis=1)
@@ -115,6 +123,33 @@ def gaussian_adjoint(weights, cache):
     wgd *= d
     ip_ds = wgd.sum(axis=1) * inv_var / stds
     return ip_g, ip_dc, ip_ds
+
+
+def gaussian_curvature(row_weights, cache):
+    """Weighted squared norms of each bump and its partials, the
+    squared-norm counterpart of :func:`gaussian_adjoint` over the same
+    windows.
+
+    Returns ``(sq_g, sq_dc, sq_ds)`` where for bump k (unit amplitude)
+    and ``w = row_weights`` on the span ``sq_g[k] = sum (w g_k)^2``,
+    ``sq_dc[k] = sum (w dg_k/dcenter)^2`` and ``sq_ds[k] = sum (w
+    dg_k/dstd)^2``.
+    """
+    if cache is None:
+        z = np.zeros(0)
+        return z, z.copy(), z.copy()
+    slots, d, g, stds = cache
+    wg2 = _gathered(row_weights, slots)
+    wg2 *= g
+    wg2 *= wg2
+    inv_var = 1.0 / stds**2
+    sq_g = wg2.sum(axis=1)
+    d2 = d * d
+    wg2 *= d2
+    sq_dc = wg2.sum(axis=1) * inv_var**2
+    wg2 *= d2
+    sq_ds = wg2.sum(axis=1) * (inv_var / stds) ** 2
+    return sq_g, sq_dc, sq_ds
 
 
 def gaussian_accumulate(out, centers, amps, stds):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, FormatError
 from .kernels import (CUTOFF_SIGMAS, gaussian_accumulate, gaussian_adjoint,
-                      gaussian_forward)
+                      gaussian_curvature, gaussian_forward)
 # Unused here, but kept bound: perfbench/tracer.py times each kernel
 # under the name of the module that calls it.
 from .kernels import gaussian_backprop  # noqa: F401
@@ -67,6 +67,11 @@ class GaussianPeakFamily:
         ip_g, ip_dc, ip_ds = gaussian_adjoint(weights, cache)
         a = atoms.a
         return ip_g, a * ip_dc, (a * ip_ds * self.bin_scale)[:, None]
+
+    def curvature(self, row_weights, cache, atoms):
+        sq_g, sq_dc, sq_ds = gaussian_curvature(row_weights, cache)
+        a2 = atoms.a**2
+        return sq_g, a2 * sq_dc, (a2 * sq_ds * self.bin_scale**2)[:, None]
 
     def support_halfwidth(self):
         return CUTOFF_SIGMAS * self.theta_box.upper[0] * self.bin_scale

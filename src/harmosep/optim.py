@@ -6,7 +6,8 @@ compiled L-BFGS-B routine ``setulb`` (the one that
 reverse-communication loop: it evaluates the same points as
 ``minimize`` without that call's Python layers.  ``setulb`` is private
 to SciPy, so a property test in ``tests/test_optim.py`` pins the loop
-to ``minimize``, bit for bit.
+to ``minimize`` at the same settings, bit for bit: the points
+evaluated, how the run ends, and the returned ``(x, f)``.
 
 ``adam_step`` implements the modified Adam update for dictionary
 columns: first moments are tracked per entry but a single second-moment
@@ -39,12 +40,14 @@ class BoxSpec:
         return np.clip(x, self.lower, self.upper)
 
 
-# L-BFGS-B's settings, as ``minimize`` set them from ``ftol=1e-15`` and
-# ``gtol=1e-12``: correction pairs kept, the relative reduction of f
-# (in units of the machine epsilon) and the projected gradient that
-# count as converged, and line-search steps per iteration.
+# L-BFGS-B's settings, as ``minimize`` sets them from ``ftol=1e7 * eps``
+# (its default, about 2.2e-9) and ``gtol=1e-12``: correction pairs kept,
+# the relative reduction of f (in units of the machine epsilon) and the
+# projected gradient that count as converged, and line-search steps per
+# iteration.  The pursuit scales its variables so that the reduction
+# test fires before the evaluation cap.
 _CORRECTIONS = 10
-_FACTR = 1e-15 / np.finfo(float).eps
+_FACTR = 1e7
 _PGTOL = 1e-12
 _LINE_SEARCH_STEPS = 20
 # setulb's task codes: evaluate f and g at x; a new iterate is ready.
@@ -65,7 +68,7 @@ def minimize_box(objective, x0, box, max_evals=1000):
 
     This is L-BFGS-B as ``scipy.optimize.minimize(method="L-BFGS-B",
     jac=True, options={"maxfun": max_evals, "maxiter": max_evals,
-    "ftol": 1e-15, "gtol": 1e-12})`` runs it, without that call's
+    "ftol": 1e7 * eps, "gtol": 1e-12})`` runs it, without that call's
     Python layers: the objective is evaluated once at the clipped
     ``x0``, a request for the point evaluated last is answered from
     that evaluation, and the run stops at a new iterate once the

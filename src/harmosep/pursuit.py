@@ -12,7 +12,13 @@ against the lifted squared loss
 with q in (0, 1] and the constant delta = :data:`DELTA`.  Per pattern
 index, only the ``n_spr`` strongest atoms are kept; the loop stops once
 an iteration fails to shrink the loss by the factor ``1 - lam``, or
-after ``cfg.iterations(n_patterns)``.
+after ``cfg.iterations(n_patterns)``, and says why in its result.
+
+L-BFGS-B refines scaled variables: each variable is divided by
+``1 / sqrt((J^T J)_ii)``, the diagonal scaling of Moré (1978), with J
+the Jacobian of the residual ``(Y + delta)^q - (delta + model)^q`` at
+the refine's start.  The scales cost one forward pass per refine, and
+without them most refines ended at their evaluation cap.
 
 Atoms exist in one form only, :class:`Atoms`: parallel arrays of
 amplitudes ``a``, shifts ``mu``, pattern indices ``eta`` and parameter
@@ -24,13 +30,15 @@ them as they are.
 Pattern families are duck-typed; see :class:`GaussianPeakFamily` in
 :mod:`harmosep.logspect` for the reference implementation.  A family is
 built on the geometry of its grid (the harmonic family keeps the log
-axis as ``axis``).  Required surface, with ``atoms`` an :class:`Atoms`::
+axis as ``axis``).  Required surface, nine members, with ``atoms`` an
+:class:`Atoms`::
 
     n_patterns, n_params : int
     theta_nil            : (n_params,) default parameters
     theta_box            : BoxSpec over the parameters
     forward(length, atoms)       -> (values, lo, ctx)
     adjoint(weights, ctx, atoms) -> (grad_a, grad_mu, grad_theta)
+    curvature(row_weights, ctx, atoms) -> (sq_a, sq_mu, sq_theta)
     accumulate(out, atoms)       # adds the model to out
     support_halfwidth()          -> float
 
@@ -39,6 +47,11 @@ on the samples ``lo <= s < lo + len(values)`` of a grid of ``length``
 samples, and the model is zero elsewhere on the grid.  ``adjoint``
 takes ``weights`` = dL/dmodel on that same span, with the ``ctx`` of
 the forward pass, and returns the gradients of the atoms' parameters.
+``curvature`` takes per-sample weights ``w`` on the span and returns,
+per parameter, the squared norm of ``w`` times the model's partial
+derivative: the diagonal of J^T J for the row weights ``w``.  It is
+exact for single peaks; the harmonic family leaves out the cross terms
+of partials whose windows overlap.
 The loss therefore touches only the span on each evaluation; the
 lifted target and the error of the empty model are computed once per
 pursuit.  Families backed by a dictionary additionally expose
@@ -46,9 +59,10 @@ pursuit.  Families backed by a dictionary additionally expose
 Every method must accept zero atoms: nothing special-cases them.
 :func:`select_xcorr` samples each pattern as the family's own
 ``forward`` of a unit atom at ``theta_nil``, so preselection and
-refinement see the same model.
+refinement see the same model; it samples them once per family object.
 """
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,10 +151,17 @@ class Atoms:
         self.theta = self.theta[mask]
 
 
+#: Why :func:`pursue` stopped, as ``PursuitResult.stop`` names it.
+STOP_REASONS = ("plateau", "loss floor", "no candidate", "iteration cap",
+                "refine failed")
+
+
 @dataclass
 class PursuitResult:
     atoms: Atoms
     loss: float     # the loss of ``atoms``, carried from the loop
+    evals: int      # loss evaluations spent
+    stop: str       # one of STOP_REASONS
 
 
 class _Target:
@@ -201,6 +222,27 @@ def _sampled_pattern(family, eta):
     return np.arange(lo, lo + len(values)) - c, values
 
 
+# The lifted patterns of :func:`_lifted_patterns`, per family object and
+# q.  Weak keys let a family and its patterns go together: ``train``
+# builds a family on every step.
+_PATTERNS = weakref.WeakKeyDictionary()
+
+
+def _lifted_patterns(family, q):
+    """Per pattern index, the offsets of its sampled span, the lifted
+    samples and their norm.  They are sampled once per family object,
+    whose patterns must not change while it lives."""
+    per_q = _PATTERNS.setdefault(family, {})
+    if q not in per_q:
+        patterns = []
+        for eta in range(family.n_patterns):
+            offsets, values = _sampled_pattern(family, eta)
+            yq = values ** q
+            patterns.append((offsets, yq, np.linalg.norm(yq)))
+        per_q[q] = patterns
+    return per_q[q]
+
+
 def select_xcorr(residual, family, cfg, n_pick, floor=0.0):
     """Pick the shift/pattern pairs with the largest cross-correlation
     between the lifted residual and the lifted sampled patterns.
@@ -210,10 +252,8 @@ def select_xcorr(residual, family, cfg, n_pick, floor=0.0):
     """
     m = len(residual)
     best = []
-    for eta in range(family.n_patterns):
-        offsets, values = _sampled_pattern(family, eta)
-        yq = values ** cfg.q
-        norm = np.linalg.norm(yq)
+    for eta, (offsets, yq, norm) in enumerate(
+            _lifted_patterns(family, cfg.q)):
         if norm == 0.0:
             continue
         # rho[mu] = sum_i r[i] yq[i - mu] / ||yq||, evaluated for every
@@ -270,28 +310,69 @@ def select_peaks(residual, family, cfg, n_pick, floor=0.0):
 _SELECTORS = {"xcorr": select_xcorr, "peaks": select_peaks}
 
 
+# A curvature entry below this fraction of the largest of its kind (an
+# atom of zero amplitude, or one off the grid) takes that largest value.
+_CURVATURE_FLOOR = 1e-12
+
+
+def _scales(target, atoms, family, cfg):
+    """Per refine variable, ``1 / sqrt(diag(J^T J))`` at ``atoms``, with
+    J the Jacobian of the loss's residual; ``None`` if the model or its
+    curvature is not finite.  Laid out as :func:`_refine`'s ``x``."""
+    model, _, ctx = family.forward(len(target.lifted), atoms)
+    row_weights = cfg.q * (model + DELTA) ** (cfg.q - 1.0)
+    c_a, c_mu, c_theta = family.curvature(row_weights, ctx, atoms)
+    # One row per kind: amplitudes, shifts, then each parameter.
+    kinds = np.vstack([c_a, c_mu, c_theta.T])
+    # At q = 1 the row weights are 1 whatever the model, so a NaN model
+    # shows only in the model itself.
+    if not (np.isfinite(model).all() and np.isfinite(kinds).all()):
+        return None
+    top = kinds.max(axis=1, keepdims=True)
+    kinds = np.where(kinds < _CURVATURE_FLOOR * top, top, kinds)
+    # A kind with no curvature at all keeps its natural units.
+    kinds[top[:, 0] == 0.0] = 1.0
+    return 1.0 / np.sqrt(np.concatenate([kinds[0], kinds[1],
+                                         kinds[2:].T.ravel()]))
+
+
 def _refine(target, atoms, family, cfg):
     """Jointly refine (a, mu, theta) of all atoms with L-BFGS-B; the
     pursuit calls it with at least one atom.
 
-    Returns the refined loss.  If the loss turns NaN, the atoms keep
-    the best valid iterate and its loss; if there is none, they stay as
-    they came and the result is ``inf``, which ends the pursuit.
+    L-BFGS-B works on ``x / s``, with ``s`` the scales that
+    :func:`_scales` takes at the clipped start (Moré's diagonal
+    scaling), so that its relative-decrease test can end the refine
+    before ``cfg.max_evals``.  Returns ``(loss, evals)``: the refined
+    loss and the number of loss evaluations spent.  If the loss turns
+    NaN, the atoms keep the best valid iterate and its loss; if there
+    is none, or the curvature is not finite, they stay as they came
+    and the loss is ``inf``, which ends the pursuit.
     """
     n = len(atoms)
     n_par = family.n_params
-    x0 = np.concatenate([atoms.a, atoms.mu, atoms.theta.ravel()])
+    x_in = np.concatenate([atoms.a, atoms.mu, atoms.theta.ravel()])
     box = BoxSpec(
         np.concatenate([np.zeros(n), np.full(n, -np.inf),
                         np.tile(family.theta_box.lower, n)]),
         np.concatenate([np.full(2 * n, np.inf),
                         np.tile(family.theta_box.upper, n)]))
+    x0 = box.clip(x_in)
+    start = Atoms(x0[:n], x0[n:2 * n], atoms.eta,
+                  x0[2 * n:].reshape(n, n_par))
+    scale = _scales(target, start, family, cfg)
+    if scale is None:
+        return np.inf, 0
     # One gradient buffer for every evaluation; minimize_box reads it
     # before the next evaluation overwrites it.
     grad = np.empty(len(x0))
     grad_theta = grad[2 * n:].reshape(n, n_par)
+    evals = 0
 
-    def objective(x):
+    def objective(y):
+        nonlocal evals
+        evals += 1
+        x = y * scale
         atoms.a = x[:n]
         atoms.mu = x[n:2 * n]
         atoms.theta = x[2 * n:].reshape(n, n_par)
@@ -299,19 +380,23 @@ def _refine(target, atoms, family, cfg):
         grad[:n] = g_a
         grad[n:2 * n] = g_mu
         grad_theta[...] = g_theta
+        np.multiply(grad, scale, out=grad)
         return v, grad
 
     try:
-        x, f = minimize_box(objective, x0, box, max_evals=cfg.max_evals)
+        y, f = minimize_box(objective, x0 / scale,
+                            BoxSpec(box.lower / scale, box.upper / scale),
+                            max_evals=cfg.max_evals)
+        x = box.clip(y * scale)
     except OptimizationError as err:
         if err.best_x is None:
-            x, f = x0, np.inf
+            x, f = x_in, np.inf
         else:
-            x, f = box.clip(err.best_x), err.best_f
+            x, f = box.clip(err.best_x * scale), err.best_f
     atoms.a = x[:n]
     atoms.mu = x[n:2 * n]
     atoms.theta = x[2 * n:].reshape(n, n_par)
-    return f
+    return f, evals
 
 
 def _sparsify(atoms, n_patterns, n_spr):
@@ -327,8 +412,9 @@ def _sparsify(atoms, n_patterns, n_spr):
 def pursue(Y, family, cfg):
     """Run the full pursuit loop on one sample vector.
 
-    Returns a :class:`PursuitResult` with the accepted atoms and their
-    loss; a non-finite loss raises :class:`OptimizationError`.
+    Returns a :class:`PursuitResult` with the accepted atoms, their
+    loss, the loss evaluations spent and why the loop stopped; a
+    non-finite loss raises :class:`OptimizationError`.
     """
     Y = np.asarray(Y, dtype=np.float64)
     if len(Y) == 0:
@@ -342,6 +428,7 @@ def pursue(Y, family, cfg):
     atoms = Atoms.empty(family.n_params)
     # The loss of ``atoms`` as their last refine left them, before drops.
     atoms_loss, dropped = target.empty_loss, False
+    evals, stop = 0, "iteration cap"
     hw = family.support_halfwidth()
     # Noise floor in lifted amplitude units, relative to the frame peak.
     lifted_peak = float(np.max(target.lifted))
@@ -352,30 +439,36 @@ def pursue(Y, family, cfg):
     loss_floor = len(Y) * (np.finfo(np.float64).eps * lifted_peak) ** 2
     for _ in range(cfg.iterations(family.n_patterns)):
         if atoms_loss <= loss_floor:
+            stop = "loss floor"
             break
         residual = lifted_residual(target, atoms, family, cfg)
         cand = selector(residual, family, cfg, cfg.n_pre, floor)
         if len(cand[0]) == 0:
+            stop = "no candidate"
             break
         snapshot = atoms.copy()
         atoms.extend(*cand)
-        cur_loss = _refine(target, atoms, family, cfg)
+        cur_loss, spent = _refine(target, atoms, family, cfg)
+        evals += spent
         n_before = len(atoms)
         _sparsify(atoms, family.n_patterns, cfg.n_spr)
         # An infinite loss is a refine without a valid iterate; the
         # check below then ends the pursuit at the snapshot.
         if len(atoms) != n_before and np.isfinite(cur_loss):
-            cur_loss = _refine(target, atoms, family, cfg)
+            cur_loss, spent = _refine(target, atoms, family, cfg)
+            evals += spent
         n_refined = len(atoms)
         # Drop dead atoms and shifts that left the sampled support.
         atoms.keep((atoms.a > amp_floor)
                    & (atoms.mu > -hw) & (atoms.mu < len(Y) - 1 + hw))
         if cur_loss >= cfg.lam * atoms_loss:
             atoms = snapshot
+            stop = "plateau" if np.isfinite(cur_loss) else "refine failed"
             break
         atoms_loss, dropped = cur_loss, len(atoms) != n_refined
     if dropped:
         atoms_loss, *_ = loss(target, atoms, family, cfg)
+        evals += 1
         if not np.isfinite(atoms_loss):
             raise OptimizationError("the pursued atoms' loss is not finite")
-    return PursuitResult(atoms, atoms_loss)
+    return PursuitResult(atoms, atoms_loss, evals, stop)

@@ -73,11 +73,13 @@ def test_two_lines_log_distance():
     assert d == pytest.approx(102.4 * np.log2(f2 / f1), abs=0.2)
 
 
-@pytest.mark.parametrize("k", [1, 2, 20])
+@pytest.mark.parametrize("k", [1, 2, 5])
 def test_nan_in_one_frame_is_recovered_in_that_frame(monkeypatch, k,
                                                      nan_on_call):
-    # At k = 1 the first refine has no valid iterate, so the middle
-    # frame ends empty; later NaNs keep the refine's best iterate.
+    # The first refine's forward calls are its curvature (k = 1) and then
+    # its evaluations.  At k = 1 and at its first evaluation (k = 2) it
+    # has no valid iterate, so the middle frame ends empty; later NaNs
+    # keep the refine's best iterate.
     Z = _line_grid([10.24, 40.0], [1.0, 0.5])
     Z.values *= [1.0, 0.7, 0.4]
     cfg = transform_config(n_itr=3)
@@ -102,7 +104,7 @@ def test_nan_in_one_frame_is_recovered_in_that_frame(monkeypatch, k,
     assert np.all(np.isfinite(U.values[:, 1]))
     for name in ("a", "mu", "theta"):
         assert np.all(np.isfinite(getattr(atoms[1], name)))
-    if k == 1:
+    if k <= 2:
         assert len(atoms[1]) == 0
     else:
         assert len(atoms[1]) > 0

@@ -78,7 +78,7 @@ def scipy_minimize_box(objective, x0, box, max_evals=1000):
     minimize(wrapped, x0, jac=True, method="L-BFGS-B",
              bounds=Bounds(box.lower, box.upper),
              options={"maxfun": max_evals, "maxiter": max_evals,
-                      "ftol": 1e-15, "gtol": 1e-12})
+                      "ftol": 1e7 * np.finfo(float).eps, "gtol": 1e-12})
     return box.clip(best["x"]), best["f"]
 
 

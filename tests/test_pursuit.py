@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +10,8 @@ from harmosep import pursuit
 from harmosep.dictlearn import Dictionary, harmonic_family
 from harmosep.errors import DomainError, OptimizationError
 from harmosep.kernels import sample_gaussian
-from harmosep.logspect import GaussianPeakFamily
+from harmosep.logspect import (GaussianPeakFamily, gaussian_family,
+                               transform_config)
 from harmosep.pursuit import (DELTA, Atoms, PursuitConfig, loss, pursue,
                               select_peaks, select_xcorr)
 from harmosep.stft import LogAxis, StftConfig
@@ -237,17 +241,20 @@ def test_pursue_evaluates_the_loss_only_inside_its_refines(counted):
 
 def test_pursue_raises_on_a_non_finite_loss_after_a_drop(counted,
                                                           nan_on_call):
-    # The last refine leaves an atom below the amplitude floor; pursue
-    # drops it and evaluates the loss once more, in its last forward.
-    rng = np.random.default_rng(2)
-    Y = sample_gaussian(rng.uniform(10, 90, 3), rng.uniform(0.5, 2, 3),
-                        rng.uniform(1, 4, 3), 100)
-    Y += rng.uniform(0, 0.05, 100)
-    cfg = PursuitConfig(q=1.0, lam=1.0, n_pre=4, n_spr=8, n_itr=2,
+    # A one-sample spike just above the amplitude floor is picked, but no
+    # peak of the family is narrower than half a bin: the refine fits it
+    # with an amplitude of about 0.965 of its height, below the floor.
+    # Pursue drops it and evaluates the loss once more, in its last
+    # forward.
+    Y = sample_gaussian(np.array([50.0]), np.array([1.0]),
+                        np.array([2.0]), 100)
+    Y[80] = 0.102
+    cfg = PursuitConfig(q=1.0, lam=1.0, n_pre=4, n_spr=8, n_itr=1,
                         selector="peaks", max_evals=40, floor_rel=0.1)
     clean = nan_on_call(family(), None)
     res = pursue(Y, clean, cfg)
-    assert counted["loss"] == counted["objective"] + 1
+    assert len(res.atoms) == 1 and res.atoms.mu[0] == pytest.approx(50.0)
+    assert counted["loss"] == counted["objective"] + 1 == res.evals
     assert np.isfinite(res.loss)
     with pytest.raises(OptimizationError):
         pursue(Y, nan_on_call(family(), clean.calls), cfg)
@@ -349,3 +356,175 @@ def test_pursue_invariants(problem):
     assert np.isfinite(res.loss)
     assert res.loss == pytest.approx(loss(Y, atoms, fam, cfg)[0],
                                      rel=1e-12, abs=0)
+
+
+def _grid_residual(Y, atoms, fam, q):
+    """The loss's residual on the whole grid."""
+    values, lo, _ = fam.forward(len(Y), atoms)
+    model = np.zeros(len(Y))
+    model[lo:lo + len(values)] = values
+    return (Y + DELTA) ** q - (model + DELTA) ** q
+
+
+def _curvature_problems():
+    # Peaks may overlap: each column of J belongs to one atom.  The
+    # harmonic atoms' partials (0, 102.4 and 162.3 bins above mu) have
+    # windows that do not overlap.
+    peaks = Atoms([1.3, 0.6], [40.2, 45.9], [0, 0], [[2.3], [1.4]])
+    combs = Atoms([1.1, 0.7], [30.3, 260.8], [0, 1],
+                  [[1.8e-4, 1e-3], [1.4e-4, 4e-3]])
+    return [("peak", peaks), ("harmonic", combs)]
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0])
+@pytest.mark.parametrize("kind, atoms", _curvature_problems())
+def test_curvature_is_the_jacobians_squared_column_norms(kind, atoms, q):
+    fam = _FAMILIES[kind]()
+    length = 500
+    Y = np.abs(np.random.default_rng(3).normal(size=length)) * 0.1
+    values, lo, ctx = fam.forward(length, atoms)
+    row_weights = q * (values + DELTA) ** (q - 1.0)
+    c_a, c_mu, c_theta = fam.curvature(row_weights, ctx, atoms)
+    got = np.concatenate([c_a, c_mu, c_theta.ravel()])
+    x = np.concatenate([atoms.a, atoms.mu, atoms.theta.ravel()])
+    n, n_par = len(atoms), fam.n_params
+    expect = np.empty(len(x))
+    for i in range(len(x)):
+        h = 1e-6 * max(abs(x[i]), 1e-3)
+        columns = []
+        for sign in (1.0, -1.0):
+            xs = x.copy()
+            xs[i] += sign * h
+            probe = Atoms(xs[:n], xs[n:2 * n], atoms.eta,
+                          xs[2 * n:].reshape(n, n_par))
+            columns.append(_grid_residual(Y, probe, fam, q))
+        column = (columns[0] - columns[1]) / (2.0 * h)
+        expect[i] = column @ column
+    assert np.all(got > 0.0)
+    assert got == pytest.approx(expect, rel=1e-6)
+
+
+def _three_peak_frame():
+    """Three clean peaks at the desk STFT's scale, two of them close."""
+    fam = gaussian_family(StftConfig(hop_samples=2048))
+    atoms = Atoms([50.0, 20.0, 8.0], [300.3, 420.7, 433.1], [0, 0, 0],
+                  np.tile(fam.theta_nil, (3, 1)))
+    return fam, fam.accumulate(np.zeros(StftConfig().n_bins), atoms)
+
+
+def test_scaled_refine_converges_before_its_cap(monkeypatch):
+    # Unscaled, each of three refines ran into the cap of 60 evaluations
+    # and the pursuit kept 9 atoms at a loss of 1e-4.
+    fam, Y = _three_peak_frame()
+    cfg = transform_config(n_itr=3, max_evals=60, n_pre=10, n_spr=10)
+    spent, real_refine = [], pursuit._refine
+
+    def recorded_refine(*args):
+        value, evals = real_refine(*args)
+        spent.append(evals)
+        return value, evals
+
+    monkeypatch.setattr(pursuit, "_refine", recorded_refine)
+    res = pursue(Y, fam, cfg)
+    assert spent[0] < cfg.max_evals
+    assert len(res.atoms) == 3
+    assert np.sort(res.atoms.mu) == pytest.approx([300.3, 420.7, 433.1],
+                                                  abs=1e-5)
+    assert res.evals == sum(spent)
+    assert res.loss < 1e-9
+
+
+def _one_atom_frame(fam):
+    return fam.accumulate(np.zeros(300), Atoms([1.0], [60.4], [0],
+                                               fam.theta_nil[None, :]))
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0])
+@pytest.mark.parametrize("kind", sorted(_FAMILIES))
+def test_zero_and_off_grid_atoms_get_finite_scales(kind, q):
+    fam = _FAMILIES[kind]()
+    Y = _one_atom_frame(fam) + 0.01
+    cfg = PursuitConfig(q=q, max_evals=40)
+    target = pursuit._Target(Y, cfg)
+    theta = np.tile(fam.theta_nil, (3, 1))
+    for atoms in (Atoms([0.8, 0.0, 0.5], [61.0, 120.0, -1e4], [0, 0, 0],
+                        theta),
+                  Atoms([0.0, 0.5], [120.0, -1e4], [0, 0], theta[:2])):
+        scale = pursuit._scales(target, atoms, fam, cfg)
+        assert scale.shape == (len(atoms) * (2 + fam.n_params),)
+        assert np.all(np.isfinite(scale)) and np.all(scale > 0.0)
+        start = loss(target, atoms, fam, cfg)[0]
+        refined = atoms.copy()
+        value, evals = pursuit._refine(target, refined, fam, cfg)
+        assert evals > 0
+        assert value <= start
+        assert value == pytest.approx(loss(target, refined, fam, cfg)[0],
+                                      rel=1e-12, abs=0)
+        assert np.all(refined.a >= 0.0)
+        assert np.all((refined.theta >= fam.theta_box.lower)
+                      & (refined.theta <= fam.theta_box.upper))
+
+
+@pytest.mark.parametrize("q", [0.5, 1.0])
+@pytest.mark.parametrize("kind", sorted(_FAMILIES))
+def test_nan_in_the_curvature_forward_is_no_valid_iterate(kind, q,
+                                                          nan_on_call):
+    fam = _FAMILIES[kind]()
+    Y = _one_atom_frame(fam)
+    cfg = PursuitConfig(q=q, max_evals=40)
+    target = pursuit._Target(Y, cfg)
+    atoms = Atoms([0.9], [61.0], [0], fam.theta_nil[None, :])
+    assert pursuit._scales(target, atoms, nan_on_call(fam, 1), cfg) is None
+    refined = atoms.copy()
+    assert pursuit._refine(target, refined, nan_on_call(fam, 1),
+                           cfg) == (np.inf, 0)
+    for name in ("a", "mu", "eta", "theta"):
+        assert np.array_equal(getattr(refined, name), getattr(atoms, name))
+
+
+def test_select_xcorr_samples_each_pattern_once_per_family(nan_on_call):
+    fam = _FAMILIES["harmonic"]()
+    counted = nan_on_call(fam, None)
+    cfg = PursuitConfig(q=0.5)
+    residual = np.abs(np.random.default_rng(0).normal(size=400))
+    first = select_xcorr(residual, counted, cfg, 2)
+    assert counted.calls == fam.n_patterns
+    again = select_xcorr(residual, counted, cfg, 2)
+    assert counted.calls == fam.n_patterns
+    for x, y in zip(first, again):
+        assert np.array_equal(x, y)
+    select_xcorr(residual, counted, PursuitConfig(q=1.0), 2)
+    assert counted.calls == 2 * fam.n_patterns
+    # The patterns do not keep their family alive.
+    ref = weakref.ref(counted)
+    del counted
+    gc.collect()
+    assert ref() is None
+
+
+def test_pursue_says_why_it_stopped(nan_on_call):
+    fam = family()
+    one = sample_gaussian(np.array([50.0]), np.array([1.0]),
+                          np.array([2.0]), 100)
+    two = sample_gaussian(np.array([30.0, 70.0]), np.array([1.0, 0.6]),
+                          np.array([2.0, 2.0]), 100)
+    xcorr = dict(q=1.0, n_pre=1, n_spr=4, selector="xcorr")
+    peaks, three = _three_peak_frame()
+    cases = [
+        ("no candidate", three, peaks,
+         transform_config(n_itr=3, max_evals=60, n_pre=10, n_spr=10)),
+        ("iteration cap", two, fam, PursuitConfig(lam=1.0, n_itr=1,
+                                                  **xcorr)),
+        ("loss floor", one, fam, PursuitConfig(lam=1.0, n_itr=3, **xcorr)),
+        ("plateau", two + 0.01, fam, PursuitConfig(lam=0.5, n_itr=5,
+                                                   **xcorr)),
+        # The peak selector calls no forward, so the first is the first
+        # refine's curvature.
+        ("refine failed", one, nan_on_call(fam, 1),
+         PursuitConfig(q=1.0, n_itr=3, selector="peaks")),
+    ]
+    assert sorted(c[0] for c in cases) == sorted(pursuit.STOP_REASONS)
+    for stop, Y, fam, cfg in cases:
+        res = pursue(Y, fam, cfg)
+        assert res.stop == stop
+        assert np.isfinite(res.loss)
