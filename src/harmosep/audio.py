@@ -65,6 +65,9 @@ def read_wav(path):
     if data.dtype == np.int16:
         samples = data.astype(np.float64) / INT16_SCALE
     elif data.dtype == np.float32:
+        # Tested before the cast, which warns on a signalling NaN.
+        if not np.all(np.isfinite(data)):
+            raise FormatError(f"non-finite samples in {path}")
         samples = data.astype(np.float64)
     else:
         raise FormatError(
@@ -73,8 +76,6 @@ def read_wav(path):
         )
     if samples.ndim == 2:
         samples = samples.mean(axis=1)
-    if not np.all(np.isfinite(samples)):
-        raise FormatError(f"non-finite samples in {path}")
     return AudioClip(samples, rate)
 
 

@@ -109,33 +109,31 @@ class HarmonicPatternFamily:
                                              stds)
         return values, lo, (cache, dweights)
 
+    @staticmethod
+    def _chain(per_bump, dweights, a, bin_scale, doff):
+        """The chain rule from the bumps' (value, centre, std) terms to
+        the atoms' (a, mu, sigma, b), with the weights ``D[h, eta]``,
+        the amplitudes, the bin scale and d(offset)/db as factors."""
+        i_g, i_dc, i_ds = (x.reshape(dweights.shape) for x in per_bump)
+        dw_dc = dweights * i_dc
+        i_sigma = a * (dweights * i_ds).sum(axis=1) * bin_scale
+        i_b = a * (dw_dc * doff).sum(axis=1)
+        return ((dweights * i_g).sum(axis=1), a * dw_dc.sum(axis=1),
+                np.stack([i_sigma, i_b], axis=1))
+
     def adjoint(self, weights_vec, ctx, atoms):
         cache, dweights = ctx
-        ip_g, ip_dc, ip_ds = (ip.reshape(dweights.shape) for ip in
-                              gaussian_adjoint(weights_vec, cache))
-        a = atoms.a
-        g_a = (dweights * ip_g).sum(axis=1)
-        dw_dc = dweights * ip_dc
-        g_mu = a * dw_dc.sum(axis=1)
-        g_sigma = a * (dweights * ip_ds).sum(axis=1) * self.bin_scale
-        doff = self._doffsets_db(atoms.theta[:, 1][:, None])
-        g_b = a * (dw_dc * doff).sum(axis=1)
-        return g_a, g_mu, np.stack([g_sigma, g_b], axis=1)
+        return self._chain(gaussian_adjoint(weights_vec, cache), dweights,
+                           atoms.a, self.bin_scale,
+                           self._doffsets_db(atoms.theta[:, 1][:, None]))
 
     def curvature(self, row_weights, ctx, atoms):
-        # Sums over the partials, weighted by D^2: the cross terms of
+        # The chain rule with every factor squared: the cross terms of
         # partials whose windows overlap are left out.
         cache, dweights = ctx
-        sq_g, sq_dc, sq_ds = (sq.reshape(dweights.shape) for sq in
-                              gaussian_curvature(row_weights, cache))
-        dw2 = dweights**2
-        a2 = atoms.a**2
-        dw2_dc = dw2 * sq_dc
-        c_sigma = a2 * (dw2 * sq_ds).sum(axis=1) * self.bin_scale**2
-        doff = self._doffsets_db(atoms.theta[:, 1][:, None])
-        c_b = a2 * (dw2_dc * doff**2).sum(axis=1)
-        return ((dw2 * sq_g).sum(axis=1), a2 * dw2_dc.sum(axis=1),
-                np.stack([c_sigma, c_b], axis=1))
+        return self._chain(gaussian_curvature(row_weights, cache),
+                           dweights**2, atoms.a**2, self.bin_scale**2,
+                           self._doffsets_db(atoms.theta[:, 1][:, None])**2)
 
     def dict_backprop(self, weights_vec, atoms):
         """Gradient of the loss with respect to the dictionary entries,
@@ -311,6 +309,8 @@ def load_dictionary(path):
         raise FormatError(f"non-numeric entry in {path}") from None
     if any(not 0 <= k < n_pat for k in kept):
         raise FormatError(f"kept column out of range in {path}")
+    if len(set(kept)) != len(kept):
+        raise FormatError(f"repeated kept column in {path}")
     if any(len(col) != n_har for col in columns):
         raise FormatError(f"column length mismatch in {path}")
     try:

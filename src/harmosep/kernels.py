@@ -13,7 +13,9 @@ takes a weight vector on the same span.  Window entries that fall off
 the grid go to two padding slots, one on each side of the span, which
 the forward pass discards and the adjoint pass reads as zero weight.
 :func:`gaussian_curvature` reads the same windows for the weighted
-squared norms that scale the pursuit's refines.
+squared norms that scale the pursuit's refines.  Zero bumps end in
+:func:`_windows`, as an empty span with empty windows, so no caller
+special-cases them.
 """
 
 import math
@@ -42,9 +44,12 @@ def _windows(centers, stds, length):
     the ``(n_bumps, width)`` span slots of the window entries (slot
     ``s - lo + 1`` for grid sample ``s``, 0 left of the grid and
     ``hi - lo + 1`` right of it), the distances to the centers, the
-    Gaussian values and the standard deviations.
+    Gaussian values and the standard deviations.  With no bumps the
+    span is empty (``lo == hi == length``) and so is every window array.
     """
-    halfwidth = math.ceil(CUTOFF_SIGMAS * float(stds.max())) + 1
+    # ``initial`` decides only for zero bumps: the stds are positive, and
+    # the clamped centers below lie within both initials.
+    halfwidth = math.ceil(CUTOFF_SIGMAS * float(stds.max(initial=0.0))) + 1
     offsets, offsets_f = _offsets(halfwidth)
     rounded_f = centers.round()
     # A center further off the grid than its window moves nothing but
@@ -52,8 +57,8 @@ def _windows(centers, stds, length):
     # shifts from overflowing the int64 slots.
     rounded = np.minimum(np.maximum(rounded_f.astype(np.int64),
                                     -halfwidth - 1), length + halfwidth)
-    first = int(rounded.min()) - halfwidth
-    last = int(rounded.max()) + halfwidth + 1
+    first = int(rounded.min(initial=length + halfwidth)) - halfwidth
+    last = int(rounded.max(initial=-halfwidth - 1)) + halfwidth + 1
     lo = min(max(first, 0), length)
     hi = min(max(last, lo), length)
     slots = (rounded - (lo - 1))[:, None] + offsets
@@ -82,8 +87,6 @@ def gaussian_forward(length, centers, amps, stds):
     bump lies off the grid.
     """
     centers = np.asarray(centers, dtype=np.float64)
-    if len(centers) == 0:
-        return np.zeros(0), 0, None
     amps = np.asarray(amps, dtype=np.float64)
     stds = np.asarray(stds, dtype=np.float64)
     lo, hi, cache = _windows(centers, stds, length)
@@ -110,9 +113,6 @@ def gaussian_adjoint(weights, cache):
     ``ip_g[k] = <w, g_k>``, ``ip_dc[k] = <w, dg_k/dcenter>`` and
     ``ip_ds[k] = <w, dg_k/dstd>``.
     """
-    if cache is None:
-        z = np.zeros(0)
-        return z, z.copy(), z.copy()
     slots, d, g, stds = cache
     wg = _gathered(weights, slots)
     wg *= g
@@ -135,9 +135,6 @@ def gaussian_curvature(row_weights, cache):
     ``sq_dc[k] = sum (w dg_k/dcenter)^2`` and ``sq_ds[k] = sum (w
     dg_k/dstd)^2``.
     """
-    if cache is None:
-        z = np.zeros(0)
-        return z, z.copy(), z.copy()
     slots, d, g, stds = cache
     wg2 = _gathered(row_weights, slots)
     wg2 *= g
@@ -163,8 +160,6 @@ def gaussian_accumulate(out, centers, amps, stds):
 def gaussian_backprop(weights, centers, stds):
     """:func:`gaussian_adjoint` for a weight vector on the whole grid."""
     centers = np.asarray(centers, dtype=np.float64)
-    if len(centers) == 0:
-        return gaussian_adjoint(weights, None)
     stds = np.asarray(stds, dtype=np.float64)
     lo, hi, cache = _windows(centers, stds, len(weights))
     return gaussian_adjoint(weights[lo:hi], cache)

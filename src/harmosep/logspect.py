@@ -120,10 +120,8 @@ def to_log_spectrogram(Z, axis=None, stft_cfg=None, pursuit_cfg=None):
         positive = atoms.mu > 0.0
         alpha = axis.alpha(atoms.mu[positive])
         inside = (alpha >= 0.0) & (alpha < m)
-        if np.any(inside):
-            gaussian_accumulate(U[:, t], alpha[inside],
-                                atoms.a[positive][inside],
-                                family.stds(atoms.theta[positive])[inside])
+        gaussian_accumulate(U[:, t], alpha[inside], atoms.a[positive][inside],
+                            family.stds(atoms.theta[positive])[inside])
     return SpectrogramGrid(U, Z.stft, axis), atoms_per_frame
 
 

@@ -56,7 +56,8 @@ The loss therefore touches only the span on each evaluation; the
 lifted target and the error of the empty model are computed once per
 pursuit.  Families backed by a dictionary additionally expose
 ``dict_backprop(weights, atoms)`` with weights on the whole grid.
-Every method must accept zero atoms: nothing special-cases them.
+Every method must accept zero atoms: they reach the kernels as zero
+bumps, which ``kernels._windows`` alone handles.
 :func:`select_xcorr` samples each pattern as the family's own
 ``forward`` of a unit atom at ``theta_nil``, so preselection and
 refinement see the same model; it samples them once per family object.
@@ -256,18 +257,16 @@ def select_xcorr(residual, family, cfg, n_pick, floor=0.0):
             _lifted_patterns(family, cfg.q)):
         if norm == 0.0:
             continue
-        # rho[mu] = sum_i r[i] yq[i - mu] / ||yq||, evaluated for every
-        # integer mu on the grid; correlate() slides yq across r.
+        # rho[mu] = sum_i r[i] yq[i - mu] / ||yq||; correlate() slides
+        # yq across r, and its entry k is the shift k - offsets[-1].  The
+        # span holds the unit atom's own window, so offsets[-1] >= 0.
         corr = np.correlate(residual, yq, mode="full")
-        mus_all = np.arange(len(corr)) - (len(yq) - 1) - offsets[0]
-        inside = (mus_all >= 0) & (mus_all < m)
-        rho = corr[inside] / norm
-        mus = mus_all[inside]
-        for k in np.argsort(rho)[::-1][:n_pick]:
-            amp_base = rho[k] / norm
+        rho = corr[offsets[-1]:offsets[-1] + m] / norm
+        for mu in np.argsort(rho)[::-1][:n_pick]:
+            amp_base = rho[mu] / norm
             if amp_base <= floor:
                 continue
-            best.append((rho[k], float(mus[k]), eta,
+            best.append((rho[mu], float(mu), eta,
                          amp_base ** (1.0 / cfg.q)))
     best.sort(key=lambda t: -t[0])
     best = best[:n_pick]
@@ -288,15 +287,12 @@ def select_peaks(residual, family, cfg, n_pick, floor=0.0):
     """
     r = np.asarray(residual, dtype=np.float64)
     m = len(r)
+    padded = np.full(m + 2 * PEAK_RADIUS, -np.inf)
+    padded[PEAK_RADIUS:PEAK_RADIUS + m] = r
     ok = r > max(floor, 0.0)
     for k in range(1, PEAK_RADIUS + 1):
-        right = np.empty(m)
-        right[:m - k] = r[k:]
-        right[m - k:] = -np.inf
-        left = np.empty(m)
-        left[k:] = r[:m - k]
-        left[:k] = -np.inf
-        ok &= (r >= right) & (r > left)
+        ok &= ((r >= padded[PEAK_RADIUS + k:PEAK_RADIUS + k + m])
+               & (r > padded[PEAK_RADIUS - k:PEAK_RADIUS - k + m]))
     idx = np.nonzero(ok)[0]
     if len(idx) > n_pick:
         idx = idx[np.argsort(r[idx])[::-1][:n_pick]]
@@ -317,8 +313,9 @@ _CURVATURE_FLOOR = 1e-12
 
 def _scales(target, atoms, family, cfg):
     """Per refine variable, ``1 / sqrt(diag(J^T J))`` at ``atoms``, with
-    J the Jacobian of the loss's residual; ``None`` if the model or its
-    curvature is not finite.  Laid out as :func:`_refine`'s ``x``."""
+    J the Jacobian of the loss's residual, laid out as :func:`_refine`'s
+    ``x``.  Raises :class:`OptimizationError`, with no valid iterate, if
+    the model or its curvature is not finite."""
     model, _, ctx = family.forward(len(target.lifted), atoms)
     row_weights = cfg.q * (model + DELTA) ** (cfg.q - 1.0)
     c_a, c_mu, c_theta = family.curvature(row_weights, ctx, atoms)
@@ -327,7 +324,7 @@ def _scales(target, atoms, family, cfg):
     # At q = 1 the row weights are 1 whatever the model, so a NaN model
     # shows only in the model itself.
     if not (np.isfinite(model).all() and np.isfinite(kinds).all()):
-        return None
+        raise OptimizationError("the refine's start has no finite scales")
     top = kinds.max(axis=1, keepdims=True)
     kinds = np.where(kinds < _CURVATURE_FLOOR * top, top, kinds)
     # A kind with no curvature at all keeps its natural units.
@@ -344,10 +341,11 @@ def _refine(target, atoms, family, cfg):
     :func:`_scales` takes at the clipped start (Moré's diagonal
     scaling), so that its relative-decrease test can end the refine
     before ``cfg.max_evals``.  Returns ``(loss, evals)``: the refined
-    loss and the number of loss evaluations spent.  If the loss turns
+    loss and the number of loss evaluations spent; the loss is always
+    that of the atoms as returned, inside the box.  If the loss turns
     NaN, the atoms keep the best valid iterate and its loss; if there
-    is none, or the curvature is not finite, they stay as they came
-    and the loss is ``inf``, which ends the pursuit.
+    is none, the start's scales included, they stay as they came and
+    the loss is ``inf``, which ends the pursuit.
     """
     n = len(atoms)
     n_par = family.n_params
@@ -360,9 +358,6 @@ def _refine(target, atoms, family, cfg):
     x0 = box.clip(x_in)
     start = Atoms(x0[:n], x0[n:2 * n], atoms.eta,
                   x0[2 * n:].reshape(n, n_par))
-    scale = _scales(target, start, family, cfg)
-    if scale is None:
-        return np.inf, 0
     # One gradient buffer for every evaluation; minimize_box reads it
     # before the next evaluation overwrites it.
     grad = np.empty(len(x0))
@@ -384,18 +379,23 @@ def _refine(target, atoms, family, cfg):
         return v, grad
 
     try:
+        scale = _scales(target, start, family, cfg)
         y, f = minimize_box(objective, x0 / scale,
                             BoxSpec(box.lower / scale, box.upper / scale),
                             max_evals=cfg.max_evals)
-        x = box.clip(y * scale)
     except OptimizationError as err:
-        if err.best_x is None:
-            x, f = x_in, np.inf
-        else:
-            x, f = box.clip(err.best_x * scale), err.best_f
+        y, f = err.best_x, err.best_f
+    x = x_in if y is None else box.clip(y * scale)
     atoms.a = x[:n]
     atoms.mu = x[n:2 * n]
     atoms.theta = x[2 * n:].reshape(n, n_par)
+    if y is None:
+        return np.inf, evals
+    if not np.array_equal(x, y * scale):
+        # y * scale rounded past a bound of the box; the atoms the box
+        # clipped back carry their own loss.
+        f = loss(target, atoms, family, cfg)[0]
+        evals += 1
     return f, evals
 
 

@@ -73,9 +73,14 @@ def separate(U, Z, phase, dictionary, kept, n_spr, *, stft_cfg=None,
     if U.stft != stft_cfg:
         raise DomainError("log and linear spectrograms come from different "
                           "STFTs")
-    kept = np.asarray(kept, dtype=np.int64)
-    if len(kept) == 0:
+    kept = np.asarray(kept)
+    if kept.size == 0:
         raise DomainError("no dictionary columns to separate with")
+    if not (kept.ndim == 1 and np.issubdtype(kept.dtype, np.integer)
+            and kept.min() >= 0 and kept.max() < dictionary.n_pat
+            and len(np.unique(kept)) == len(kept)):
+        raise DomainError("kept must list distinct column indices of the "
+                          f"{dictionary.n_pat}-column dictionary")
     if U.values.shape[1] != Z.values.shape[1]:
         raise DomainError("log and linear spectrograms disagree in frames")
     if Z.values.shape != phase.shape:

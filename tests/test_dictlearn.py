@@ -192,3 +192,6 @@ def test_dictionary_file_rejects_garbage(tmp_path):
     path.write_text("harmosep-dict 99\nn_har 1\nn_pat 1\nkept 0\n0.5\n")
     with pytest.raises(FormatError):
         load_dictionary(path)
+    path.write_text("harmosep-dict 1\nn_har 1\nn_pat 2\nkept 0 0\n0.5\n0.25\n")
+    with pytest.raises(FormatError):
+        load_dictionary(path)

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from harmosep.kernels import (CUTOFF_SIGMAS, gaussian_accumulate,
-                              gaussian_adjoint, gaussian_forward)
+                              gaussian_adjoint, gaussian_backprop,
+                              gaussian_curvature, gaussian_forward)
 from harmosep.logspect import GaussianPeakFamily
 from harmosep.pursuit import DELTA, Atoms, PursuitConfig, loss
 
@@ -60,16 +61,19 @@ def test_adjoint_identity(bumps, seed):
 
 
 def test_bumps_off_the_grid_give_an_empty_span():
-    for centers in ([-1e5], [1e5], [-1e5, 1e5]):
+    # Zero bumps take the same path: an empty span and empty windows.
+    for centers in ([-1e5], [1e5], [-1e5, 1e5], []):
         centers = np.array(centers)
         ones = np.ones(len(centers))
         values, lo, cache = gaussian_forward(50, centers, ones, ones)
         # Bumps on both sides span the grid between them.
         assert len(values) == (50 if len(centers) == 2 else 0)
         assert np.all(values == 0.0) and 0 <= lo <= 50 - len(values)
-        ip_g, ip_dc, ip_ds = gaussian_adjoint(np.ones(len(values)), cache)
-        assert np.all(ip_g == 0.0) and np.all(ip_dc == 0.0)
-        assert np.all(ip_ds == 0.0)
+        for ips in (gaussian_adjoint(np.ones(len(values)), cache),
+                    gaussian_curvature(np.ones(len(values)), cache),
+                    gaussian_backprop(np.ones(50), centers, ones)):
+            for ip in ips:
+                assert ip.shape == centers.shape and np.all(ip == 0.0)
         out = np.full(50, 2.0)
         assert np.array_equal(gaussian_accumulate(out, centers, ones, ones),
                               np.full(50, 2.0))

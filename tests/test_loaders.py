@@ -135,3 +135,13 @@ def test_loaders_raise_only_format_error(tmp_path, kind, data):
         LOADERS[kind](path)
     except ACCEPTED.get(kind, FormatError):
         pass
+
+
+def test_float32_wav_with_a_signalling_nan_raises_format_error(tmp_path):
+    # Two bytes inserted into the float32 samples make one of them a
+    # signalling NaN, whose cast to float64 warns.
+    raw = VALID["wav"][1]
+    path = tmp_path / "snan.wav"
+    path.write_bytes(raw[:68] + b"\x80\x7f" + raw[68:])
+    with pytest.raises(FormatError):
+        read_wav(path)

@@ -3,7 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from harmosep import pursuit
@@ -136,6 +136,113 @@ def test_selector_floor_drops_noise():
     r[30] = 1e-9
     a, mu, _, _ = select_peaks(r, fam, cfg, 10, floor=1e-6)
     assert list(mu) == [10.0]
+
+
+class _IntegerPatterns:
+    """A family of sampled patterns with square-integer values, whose
+    lifted correlations with an integer residual are exact at q = 1/2
+    and q = 1.  Pattern ``eta`` is ``(left, values)``: its samples at
+    the offsets ``-left .. len(values) - 1 - left`` from its shift."""
+
+    n_params = 1
+    theta_nil = np.array([1.0])
+
+    def __init__(self, patterns):
+        self.patterns = patterns
+        self.n_patterns = len(patterns)
+
+    def support_halfwidth(self):
+        return max(max(left, len(v) - 1 - left) for left, v in self.patterns)
+
+    def forward(self, length, atoms):
+        left, values = self.patterns[atoms.eta[0]]
+        return atoms.a[0] * values, int(atoms.mu[0]) - left, None
+
+
+def _integer_residual(max_size):
+    return st.lists(st.integers(-4, 6).map(float), min_size=1,
+                    max_size=max_size).map(np.array)
+
+
+@st.composite
+def _xcorr_problems(draw):
+    patterns = []
+    for _ in range(draw(st.integers(1, 3))):
+        values = draw(st.lists(st.sampled_from([0.0, 1.0, 4.0, 9.0]),
+                               min_size=1, max_size=5))
+        patterns.append((draw(st.integers(0, len(values) - 1)),
+                         np.array(values)))
+    return (draw(_integer_residual(30)), patterns,
+            draw(st.sampled_from([0.5, 1.0])), draw(st.integers(1, 6)),
+            draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0])))
+
+
+def _shifts_by_direct_sums(residual, patterns, q, floor):
+    """Every shift on the grid with its correlation rho and amplitude,
+    each a direct sum over the pattern's samples; the shifts whose
+    amplitude is at most ``floor`` are left out."""
+    m = len(residual)
+    found = {}
+    for eta, (left, values) in enumerate(patterns):
+        yq = values ** q
+        norm = np.linalg.norm(yq)
+        if norm == 0.0:
+            continue
+        for mu in range(m):
+            total = sum(residual[mu + i - left] * y for i, y in enumerate(yq)
+                        if 0 <= mu + i - left < m)
+            rho = np.float64(total) / norm
+            if rho / norm > floor:
+                found[mu, eta] = rho, (rho / norm) ** (1.0 / q)
+    return found
+
+
+# The floor removes pattern 0's shift 2, whose rho 36/sqrt(27) beats
+# pattern 1's best, 4, before the cut to one candidate.
+@example((np.array([0.0, 4, 4, 4, 0, 0, 3, 0]),
+          [(1, np.array([9.0, 9, 9])), (0, np.array([1.0]))], 0.5, 1, 2.0))
+@settings(max_examples=200, deadline=None)
+@given(_xcorr_problems())
+def test_select_xcorr_equals_direct_sums(problem):
+    residual, patterns, q, n_pick, floor = problem
+    fam = _IntegerPatterns(patterns)
+    a, mu, eta, theta = select_xcorr(residual, fam, PursuitConfig(q=q),
+                                     n_pick, floor)
+    assert a.dtype == mu.dtype == np.float64 and eta.dtype == np.int64
+    assert theta.shape == (len(a), 1) and np.all(theta == fam.theta_nil)
+    found = _shifts_by_direct_sums(residual, patterns, q, floor)
+    picked = [(int(m_), int(e)) for m_, e in zip(mu, eta)]
+    assert np.array_equal(mu, [m_ for m_, _ in picked])
+    assert len(set(picked)) == len(picked) == min(n_pick, len(found))
+    assert np.array_equal(a, [found[p][1] for p in picked])
+    # Ranked across patterns by rho; ties may fall either way.
+    rhos = [found[p][0] for p in picked]
+    assert rhos == sorted(rhos, reverse=True)
+    assert rhos == sorted((v[0] for v in found.values()),
+                          reverse=True)[:len(rhos)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_integer_residual(40), st.integers(1, 8),
+       st.sampled_from([0.0, 1.0, 2.5]))
+def test_select_peaks_equals_neighbourhood_comparisons(r, n_pick, floor):
+    m, radius = len(r), pursuit.PEAK_RADIUS
+    peaks = [i for i in range(m) if r[i] > floor
+             and all(r[i] >= r[j] for j in range(i + 1, i + radius + 1)
+                     if j < m)
+             and all(r[i] > r[j] for j in range(i - radius, i) if j >= 0)]
+    a, mu, eta, theta = select_peaks(r, family(), PursuitConfig(q=1.0),
+                                     n_pick, floor)
+    assert a.dtype == mu.dtype == np.float64 and eta.dtype == np.int64
+    assert theta.shape == (len(a), 1) and not eta.any()
+    idx = mu.astype(np.int64)
+    assert np.array_equal(mu, idx) and np.array_equal(a, r[idx])
+    if len(peaks) <= n_pick:
+        assert list(idx) == peaks
+    else:
+        # The highest peaks, highest first; ties may fall either way.
+        assert set(idx) <= set(peaks) and len(set(idx)) == n_pick
+        assert list(a) == sorted(r[peaks], reverse=True)[:n_pick]
 
 
 def test_pursue_recovers_two_atoms_exactly():
@@ -338,6 +445,16 @@ def _pursuit_problems(draw, length=260):
     return fam, Y, cfg
 
 
+# A frame whose refine ends with the width rounded just below its
+# lower bound, where the box clips it back.
+_CLIPPED_WIDTH = np.zeros(260)
+_CLIPPED_WIDTH[:6] = [1.6487014401844097e-02, 2.3834690816367902e-03,
+                      6.3110133715460615e-06, 3.0606294333484501e-10,
+                      2.7185947440527282e-16, 4.4228302144380743e-24]
+
+
+@example((family(), _CLIPPED_WIDTH,
+          PursuitConfig(q=0.5, n_itr=1, max_evals=40)))
 @settings(max_examples=40, deadline=None)
 @given(_pursuit_problems())
 def test_pursue_invariants(problem):
@@ -474,7 +591,8 @@ def test_nan_in_the_curvature_forward_is_no_valid_iterate(kind, q,
     cfg = PursuitConfig(q=q, max_evals=40)
     target = pursuit._Target(Y, cfg)
     atoms = Atoms([0.9], [61.0], [0], fam.theta_nil[None, :])
-    assert pursuit._scales(target, atoms, nan_on_call(fam, 1), cfg) is None
+    with pytest.raises(OptimizationError):
+        pursuit._scales(target, atoms, nan_on_call(fam, 1), cfg)
     refined = atoms.copy()
     assert pursuit._refine(target, refined, nan_on_call(fam, 1),
                            cfg) == (np.inf, 0)

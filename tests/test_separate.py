@@ -130,6 +130,10 @@ def test_separate_validates_shapes():
         SpectrogramGrid(np.zeros((other.n_bins, 3)), other))
     with pytest.raises(DomainError):
         separate(U_other, Z, phase, d, [0], 1)
+    # kept out of range, negative, not an integer, repeated
+    for kept in ([5], [-1], [0.5], [0, 0]):
+        with pytest.raises(DomainError):
+            separate(U, Z, phase, d, kept, 1)
 
 
 @pytest.mark.parametrize("use_mask", [False, True])
