@@ -93,7 +93,9 @@ def gaussian_forward(length, centers, amps, stds):
     slots, _, g, _ = cache
     vals = amps[:, None] * g
     n = hi - lo
-    acc = np.bincount(slots.ravel(), weights=vals.ravel(), minlength=n + 2)
+    # bincount of no input is int64 whatever the weights' dtype.
+    acc = np.bincount(slots.ravel(), weights=vals.ravel(),
+                      minlength=n + 2).astype(np.float64, copy=False)
     return acc[1:n + 1], lo, cache
 
 

@@ -9,13 +9,6 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
-from hypothesis import settings  # noqa: E402
-
-# HYPOTHESIS_PROFILE=ci prints, with each falsifying example, the
-# @reproduce_failure line that replays it on another machine; every
-# test keeps its own example count and deadline.
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

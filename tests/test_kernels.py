@@ -69,6 +69,7 @@ def test_bumps_off_the_grid_give_an_empty_span():
         # Bumps on both sides span the grid between them.
         assert len(values) == (50 if len(centers) == 2 else 0)
         assert np.all(values == 0.0) and 0 <= lo <= 50 - len(values)
+        assert values.dtype == np.float64
         for ips in (gaussian_adjoint(np.ones(len(values)), cache),
                     gaussian_curvature(np.ones(len(values)), cache),
                     gaussian_backprop(np.ones(50), centers, ones)):
