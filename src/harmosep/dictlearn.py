@@ -89,32 +89,43 @@ class HarmonicPatternFamily:
         h2 = self._h2
         return self.axis.alpha0 * 0.5 * h2 / ((1.0 + b * h2) * _LN2)
 
-    def _flatten(self, atoms):
-        # One Gaussian per (atom, partial) pair.
+    def _partials(self, atoms):
+        """One Gaussian per (atom, partial) pair: the centres and the
+        weights ``D[h, eta]``, of shape ``(n_atoms, n_har)``, and the
+        standard deviations, flat."""
         b = atoms.theta[:, 1][:, None]
         centers = atoms.mu[:, None] + self.partial_offsets(b)
-        weights = self.D[:, atoms.eta].T     # [n_atoms, n_har]
-        amp_grid = atoms.a[:, None] * weights
+        weights = self.D[:, atoms.eta].T
         stds = np.repeat(atoms.theta[:, 0] * self.bin_scale, self.n_har)
-        return centers.ravel(), amp_grid.ravel(), stds, weights
+        return centers, weights, stds
+
+    def _flatten(self, atoms):
+        # Only the partials with D[h, eta] != 0: the others add exactly
+        # nothing to the model, so they get no window.
+        centers, weights, stds = self._partials(atoms)
+        live = weights != 0.0
+        amps = (atoms.a[:, None] * weights)[live]
+        return centers[live], amps, stds[live.ravel()], (weights, live)
 
     def accumulate(self, out, atoms):
-        centers, amp_flat, stds, _ = self._flatten(atoms)
-        gaussian_accumulate(out, centers, amp_flat, stds)
+        centers, amps, stds, _ = self._flatten(atoms)
+        gaussian_accumulate(out, centers, amps, stds)
         return out
 
     def forward(self, length, atoms):
-        centers, amp_flat, stds, dweights = self._flatten(atoms)
-        values, lo, cache = gaussian_forward(length, centers, amp_flat,
-                                             stds)
-        return values, lo, (cache, dweights)
+        centers, amps, stds, partials = self._flatten(atoms)
+        values, lo, cache = gaussian_forward(length, centers, amps, stds)
+        return values, lo, (cache, partials)
 
     @staticmethod
-    def _chain(per_bump, dweights, a, bin_scale, doff):
-        """The chain rule from the bumps' (value, centre, std) terms to
-        the atoms' (a, mu, sigma, b), with the weights ``D[h, eta]``,
-        the amplitudes, the bin scale and d(offset)/db as factors."""
-        i_g, i_dc, i_ds = (x.reshape(dweights.shape) for x in per_bump)
+    def _chain(per_bump, dweights, live, a, bin_scale, doff):
+        """The chain rule from the live bumps' (value, centre, std) terms
+        to the atoms' (a, mu, sigma, b), with the weights ``D[h, eta]``,
+        the amplitudes, the bin scale and d(offset)/db as factors.  The
+        terms go back into the ``(n_atoms, n_har)`` grid of ``live``,
+        zero at the skipped partials."""
+        i_g, i_dc, i_ds = grid = np.zeros((3,) + live.shape)
+        grid[:, live] = per_bump
         dw_dc = dweights * i_dc
         i_sigma = a * (dweights * i_ds).sum(axis=1) * bin_scale
         i_b = a * (dw_dc * doff).sum(axis=1)
@@ -122,28 +133,29 @@ class HarmonicPatternFamily:
                 np.stack([i_sigma, i_b], axis=1))
 
     def adjoint(self, weights_vec, ctx, atoms):
-        cache, dweights = ctx
+        cache, (dweights, live) = ctx
         return self._chain(gaussian_adjoint(weights_vec, cache), dweights,
-                           atoms.a, self.bin_scale,
+                           live, atoms.a, self.bin_scale,
                            self._doffsets_db(atoms.theta[:, 1][:, None]))
 
     def curvature(self, row_weights, ctx, atoms):
         # The chain rule with every factor squared: the cross terms of
         # partials whose windows overlap are left out.
-        cache, dweights = ctx
+        cache, (dweights, live) = ctx
         return self._chain(gaussian_curvature(row_weights, cache),
-                           dweights**2, atoms.a**2, self.bin_scale**2,
+                           dweights**2, live, atoms.a**2, self.bin_scale**2,
                            self._doffsets_db(atoms.theta[:, 1][:, None])**2)
 
     def dict_backprop(self, weights_vec, atoms):
         """Gradient of the loss with respect to the dictionary entries,
         with the atoms' own parameters held fixed; ``weights_vec`` spans
-        the whole grid."""
+        the whole grid.  Every partial takes part: a zero entry of ``D``
+        still has a gradient."""
         g = np.zeros_like(self.D)
-        centers, _, stds, dweights = self._flatten(atoms)
-        ip_g, _, _ = gaussian_backprop(weights_vec, centers, stds)
+        centers, weights, stds = self._partials(atoms)
+        ip_g, _, _ = gaussian_backprop(weights_vec, centers.ravel(), stds)
         np.add.at(g.T, atoms.eta,
-                  atoms.a[:, None] * ip_g.reshape(dweights.shape))
+                  atoms.a[:, None] * ip_g.reshape(weights.shape))
         return g
 
     def support_halfwidth(self):

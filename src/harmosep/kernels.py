@@ -6,6 +6,13 @@ helpers here evaluate them and their adjoints over truncated local
 windows so that per-frame costs stay proportional to the number of
 bumps, not the grid length.
 
+Each bump gets its own window, the samples within ``ceil(CUTOFF_SIGMAS
+* std) + 1`` of its rounded centre, so a bump's window values do not
+depend on the other bumps of the call.  The windows sit end to end in
+one flat array, bump k's segment starting at ``starts[k]``: the forward
+sums all of them with one ``np.bincount`` and the adjoint and the
+curvature reduce each segment with ``np.add.reduceat``.
+
 The fused pair works on the model's span, the grid range ``[lo, hi)``
 that the windows touch: :func:`gaussian_forward` returns the summed
 bumps on that span together with ``lo``, and :func:`gaussian_adjoint`
@@ -18,63 +25,56 @@ squared norms that scale the pursuit's refines.  Zero bumps end in
 special-cases them.
 """
 
-import math
-from functools import lru_cache
-
 import numpy as np
 
 # Gaussians are cut where they fall below exp(-32) ~ 1e-14.
 CUTOFF_SIGMAS = 8.0
 
 
-@lru_cache(maxsize=128)
-def _offsets(halfwidth):
-    """Integer and float window offsets ``-halfwidth .. halfwidth``."""
-    offsets = np.arange(-halfwidth, halfwidth + 1)
-    offsets_f = offsets.astype(np.float64)
-    offsets.setflags(write=False)
-    offsets_f.setflags(write=False)
-    return offsets, offsets_f
-
-
 def _windows(centers, stds, length):
-    """Evaluate every bump on its window.
+    """Evaluate every bump on its own window.
 
-    Returns ``(lo, hi, cache)``.  ``cache`` is ``(slots, d, g, stds)``:
-    the ``(n_bumps, width)`` span slots of the window entries (slot
-    ``s - lo + 1`` for grid sample ``s``, 0 left of the grid and
-    ``hi - lo + 1`` right of it), the distances to the centers, the
-    Gaussian values and the standard deviations.  With no bumps the
+    Returns ``(lo, hi, bump, cache)``.  ``bump`` holds the bump of each
+    window entry.  ``cache`` is ``(slots, d, g, stds, starts)``: the
+    span slots of the window entries (slot ``s - lo + 1`` for grid
+    sample ``s``, 0 left of the grid and ``hi - lo + 1`` right of it),
+    the distances to the centers, the Gaussian values, the standard
+    deviations and the start of each bump's segment.  With no bumps the
     span is empty (``lo == hi == length``) and so is every window array.
     """
-    # ``initial`` decides only for zero bumps: the stds are positive, and
-    # the clamped centers below lie within both initials.
-    halfwidth = math.ceil(CUTOFF_SIGMAS * float(stds.max(initial=0.0))) + 1
-    offsets, offsets_f = _offsets(halfwidth)
+    halfwidths = np.ceil(CUTOFF_SIGMAS * stds).astype(np.int64)
+    halfwidths += 1
+    widths = 2 * halfwidths + 1
+    starts = widths.cumsum() - widths
+    bump = np.arange(len(stds)).repeat(widths)
+    # Offsets -halfwidth .. halfwidth of each window, end to end.
+    offsets = np.arange(len(bump)) - (starts + halfwidths).take(bump)
     rounded_f = centers.round()
-    # A center further off the grid than its window moves nothing but
-    # its window's padding slots; clamping it keeps non-finite and huge
-    # shifts from overflowing the int64 slots.
+    # A center further off the grid than the widest window moves nothing
+    # but its window's padding slots; clamping it keeps non-finite and
+    # huge shifts from overflowing the int64 slots.
+    widest = int(halfwidths.max(initial=0))
     rounded = np.minimum(np.maximum(rounded_f.astype(np.int64),
-                                    -halfwidth - 1), length + halfwidth)
-    first = int(rounded.min(initial=length + halfwidth)) - halfwidth
-    last = int(rounded.max(initial=-halfwidth - 1)) + halfwidth + 1
+                                    -widest - 1), length + widest)
+    # ``initial`` decides only for zero bumps.
+    first = int((rounded - halfwidths).min(initial=length))
+    last = int((rounded + halfwidths).max(initial=-1)) + 1
     lo = min(max(first, 0), length)
     hi = min(max(last, lo), length)
-    slots = (rounded - (lo - 1))[:, None] + offsets
+    slots = offsets + (rounded - (lo - 1)).take(bump)
     if first < lo:
         np.maximum(slots, 0, out=slots)
     if last > hi:
         np.minimum(slots, hi - lo + 1, out=slots)
     # centers - rounded is exact, so d rounds (rounded + offset) - center
     # once, as subtracting the center from the sample index does.
-    d = offsets_f - (centers - rounded_f)[:, None]
+    d = offsets - (centers - rounded_f).take(bump)
     # exp(-d^2 / (2 std^2)); dividing by the negated denominator rounds
     # exactly as negating the quotient does.
     g = d * d
-    g /= -2.0 * stds[:, None] ** 2
+    g /= (-2.0 * stds**2).take(bump)
     np.exp(g, out=g)
-    return lo, hi, (slots, d, g, stds)
+    return lo, hi, bump, (slots, d, g, stds, starts)
 
 
 def gaussian_forward(length, centers, amps, stds):
@@ -89,12 +89,11 @@ def gaussian_forward(length, centers, amps, stds):
     centers = np.asarray(centers, dtype=np.float64)
     amps = np.asarray(amps, dtype=np.float64)
     stds = np.asarray(stds, dtype=np.float64)
-    lo, hi, cache = _windows(centers, stds, length)
-    slots, _, g, _ = cache
-    vals = amps[:, None] * g
+    lo, hi, bump, cache = _windows(centers, stds, length)
+    slots, _, g, _, _ = cache
     n = hi - lo
     # bincount of no input is int64 whatever the weights' dtype.
-    acc = np.bincount(slots.ravel(), weights=vals.ravel(),
+    acc = np.bincount(slots, weights=amps.take(bump) * g,
                       minlength=n + 2).astype(np.float64, copy=False)
     return acc[1:n + 1], lo, cache
 
@@ -115,15 +114,15 @@ def gaussian_adjoint(weights, cache):
     ``ip_g[k] = <w, g_k>``, ``ip_dc[k] = <w, dg_k/dcenter>`` and
     ``ip_ds[k] = <w, dg_k/dstd>``.
     """
-    slots, d, g, stds = cache
+    slots, d, g, stds, starts = cache
     wg = _gathered(weights, slots)
     wg *= g
     inv_var = 1.0 / stds**2
-    ip_g = wg.sum(axis=1)
+    ip_g = np.add.reduceat(wg, starts)
     wgd = wg * d
-    ip_dc = wgd.sum(axis=1) * inv_var
+    ip_dc = np.add.reduceat(wgd, starts) * inv_var
     wgd *= d
-    ip_ds = wgd.sum(axis=1) * inv_var / stds
+    ip_ds = np.add.reduceat(wgd, starts) * inv_var / stds
     return ip_g, ip_dc, ip_ds
 
 
@@ -137,17 +136,17 @@ def gaussian_curvature(row_weights, cache):
     ``sq_dc[k] = sum (w dg_k/dcenter)^2`` and ``sq_ds[k] = sum (w
     dg_k/dstd)^2``.
     """
-    slots, d, g, stds = cache
+    slots, d, g, stds, starts = cache
     wg2 = _gathered(row_weights, slots)
     wg2 *= g
     wg2 *= wg2
     inv_var = 1.0 / stds**2
-    sq_g = wg2.sum(axis=1)
+    sq_g = np.add.reduceat(wg2, starts)
     d2 = d * d
     wg2 *= d2
-    sq_dc = wg2.sum(axis=1) * inv_var**2
+    sq_dc = np.add.reduceat(wg2, starts) * inv_var**2
     wg2 *= d2
-    sq_ds = wg2.sum(axis=1) * (inv_var / stds) ** 2
+    sq_ds = np.add.reduceat(wg2, starts) * (inv_var / stds) ** 2
     return sq_g, sq_dc, sq_ds
 
 
@@ -163,7 +162,7 @@ def gaussian_backprop(weights, centers, stds):
     """:func:`gaussian_adjoint` for a weight vector on the whole grid."""
     centers = np.asarray(centers, dtype=np.float64)
     stds = np.asarray(stds, dtype=np.float64)
-    lo, hi, cache = _windows(centers, stds, len(weights))
+    lo, hi, _, cache = _windows(centers, stds, len(weights))
     return gaussian_adjoint(weights[lo:hi], cache)
 
 

@@ -259,7 +259,11 @@ def select_xcorr(residual, family, cfg, n_pick, floor=0.0):
             continue
         # rho[mu] = sum_i r[i] yq[i - mu] / ||yq||; correlate() slides
         # yq across r, and its entry k is the shift k - offsets[-1].  The
-        # span holds the unit atom's own window, so offsets[-1] >= 0.
+        # span ends at or past the shift (no partial lies below the
+        # fundamental), so offsets[-1] >= 0.  A span that starts past
+        # the shift (a comb without its fundamental) makes rho shorter
+        # than m: the shifts it lacks put the whole pattern past the
+        # grid, where rho would be zero.
         corr = np.correlate(residual, yq, mode="full")
         rho = corr[offsets[-1]:offsets[-1] + m] / norm
         for mu in np.argsort(rho)[::-1][:n_pick]:

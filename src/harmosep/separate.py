@@ -36,18 +36,21 @@ def reconstruct_instrument(atoms_per_frame, eta, family, shape):
     Each atom of pattern ``eta`` contributes one Gaussian per partial,
     centered at ``sqrt(1 + b h^2) h f1`` bins (f1 recovered from the
     shift on ``family.axis``) with the atom's bin-domain width; partials
-    beyond the grid end fall off the rasterizer.
+    beyond the grid end fall off the rasterizer, and partials with
+    ``D[h, eta] == 0``, which add nothing, are not rendered.
     """
     out = np.zeros(shape)
+    live = np.flatnonzero(family.D[:, eta])
+    weights = family.D[live, eta]
     for t, atoms in enumerate(atoms_per_frame):
         for j in np.flatnonzero(atoms.eta == eta):
             sigma, b = atoms.theta[j]
             # A Python float: 2.0 ** x on it rounds as libm's pow does,
             # which NumPy's vectorised power does not always match.
             f1 = family.axis.frequency(float(atoms.mu[j]))
-            centers = partial_frequencies(f1, family.n_har, b)
-            amps = atoms.a[j] * family.D[:, eta]
-            stds = np.full(family.n_har, sigma * family.bin_scale)
+            centers = partial_frequencies(f1, family.n_har, b)[live]
+            amps = atoms.a[j] * weights
+            stds = np.full(len(live), sigma * family.bin_scale)
             gaussian_accumulate(out[:, t], centers, amps, stds)
     return out
 

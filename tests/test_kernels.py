@@ -34,12 +34,17 @@ def _bumps(draw, length=LENGTH):
     return centers, amps, stds
 
 
+def _halfwidths(stds):
+    """Each bump's own window half-width, as the kernels cut it."""
+    return np.array([int(np.ceil(CUTOFF_SIGMAS * s)) + 1 for s in stds])
+
+
 def _dense(length, centers, amps, stds):
-    """The bumps on the whole grid, each cut at its window as the
+    """The bumps on the whole grid, each cut at its own window as the
     kernels cut it."""
-    halfwidth = int(np.ceil(CUTOFF_SIGMAS * np.max(stds))) + 1
     s = np.arange(length)[None, :]
-    near = np.abs(s - np.round(centers)[:, None]) <= halfwidth
+    near = (np.abs(s - np.round(centers)[:, None])
+            <= _halfwidths(stds)[:, None])
     g = np.exp(-(s - centers[:, None]) ** 2 / (2.0 * stds[:, None] ** 2))
     return (amps[:, None] * np.where(near, g, 0.0)).sum(axis=0)
 
@@ -58,6 +63,43 @@ def test_adjoint_identity(bumps, seed):
     ip_g, ip_dc, ip_ds = gaussian_adjoint(w, cache)
     assert ip_g.shape == ip_dc.shape == ip_ds.shape == (len(centers),)
     assert w @ values == pytest.approx(ip_g @ amps, rel=1e-12, abs=1e-12)
+
+
+def _samples(slots, lo, n):
+    """The grid sample each window entry reads, -1 for the padding."""
+    return np.where((slots >= 1) & (slots <= n), slots + lo - 1, -1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_bumps(), st.integers(0, 2**32 - 1))
+def test_a_bump_among_others_is_evaluated_as_alone(bumps, seed):
+    # A bump's window, its forward contribution and its adjoint and
+    # curvature terms do not depend on the other bumps of the call, to
+    # the last bit.  The forward adds the bumps sample by sample in
+    # their order.
+    centers, amps, stds = bumps
+    values, lo, cache = gaussian_forward(LENGTH, centers, amps, stds)
+    slots, d, g, _, starts = cache
+    ends = np.append(starts[1:], len(g))
+    w = np.random.default_rng(seed).normal(size=len(values))
+    together = gaussian_adjoint(w, cache) + gaussian_curvature(w, cache)
+    summed = np.zeros(LENGTH)
+    for k in range(len(centers)):
+        one = slice(k, k + 1)
+        v_k, lo_k, c_k = gaussian_forward(LENGTH, centers[one], amps[one],
+                                          stds[one])
+        seg = slice(starts[k], ends[k])
+        assert np.array_equal(_samples(c_k[0], lo_k, len(v_k)),
+                              _samples(slots[seg], lo, len(values)))
+        assert np.array_equal(c_k[1], d[seg])
+        assert np.array_equal(c_k[2], g[seg])
+        summed[lo_k:lo_k + len(v_k)] += v_k
+        w_k = w[lo_k - lo:lo_k - lo + len(v_k)]
+        alone = gaussian_adjoint(w_k, c_k) + gaussian_curvature(w_k, c_k)
+        assert [x[k] for x in together] == [y[0] for y in alone]
+    full = np.zeros(LENGTH)
+    full[lo:lo + len(values)] = values
+    assert np.array_equal(full, summed)
 
 
 def test_bumps_off_the_grid_give_an_empty_span():
@@ -93,28 +135,39 @@ def test_non_finite_and_huge_centers_stay_off_the_grid(far):
         np.zeros(50), np.array([20.0]), ones[:1], ones[:1]))
 
 
+def _window_sum(x):
+    """One window's sum, in the order the kernels sum each segment of
+    their flat windows."""
+    return np.add.reduceat(x, [0])[0]
+
+
 def _reference_loss(Y, a, mu, stds, q, delta):
-    """The lifted loss and its gradients evaluated on the whole grid:
-    every window entry off the grid is masked out, and the model, the
-    error and the weights cover all samples."""
+    """The lifted loss and its gradients evaluated on the whole grid,
+    one bump at a time: every window entry off the grid is masked out,
+    and the model, the error and the weights cover all samples."""
     length = len(Y)
-    halfwidth = int(np.ceil(CUTOFF_SIGMAS * np.max(stds))) + 1
-    idx = (np.round(mu).astype(np.int64)[:, None]
-           + np.arange(-halfwidth, halfwidth + 1)[None, :])
-    valid = (idx >= 0) & (idx < length)
-    d = idx - mu[:, None]
-    g = np.exp(-(d * d) / (2.0 * stds[:, None] ** 2))
+    idx = [round(m) + np.arange(-h, h + 1)
+           for m, h in zip(mu, _halfwidths(stds))]
+    valid = [(i >= 0) & (i < length) for i in idx]
+    d = [i - m for i, m in zip(idx, mu)]
+    # stds ** 2 of the array: a NumPy scalar's ** goes through pow(),
+    # which can round x * x differently.
+    g = [np.exp(-(dk * dk) / v) for dk, v in zip(d, 2.0 * stds**2)]
     model = np.zeros(length)
-    model += np.bincount(np.where(valid, idx, length).ravel(),
-                         weights=(a[:, None] * g).ravel(),
-                         minlength=length + 1)[:length]
+    model += np.bincount(
+        np.concatenate([np.where(v, i, length) for v, i in zip(valid, idx)]),
+        weights=np.concatenate([ak * gk for ak, gk in zip(a, g)]),
+        minlength=length + 1)[:length]
     err = (Y + delta) ** q - (model + delta) ** q
     weights = -2.0 * q * err * (model + delta) ** (q - 1.0)
-    wg = np.where(valid, weights[np.clip(idx, 0, length - 1)], 0.0) * g
+    wg = [np.where(v, weights[np.clip(i, 0, length - 1)], 0.0) * gk
+          for v, i, gk in zip(valid, idx, g)]
     inv_var = 1.0 / stds**2
-    ip_dc = (wg * d).sum(axis=1) * inv_var
-    ip_ds = (wg * d * d).sum(axis=1) * inv_var / stds
-    return float(err @ err), wg.sum(axis=1), a * ip_dc, a * ip_ds
+    ip_g = np.array([_window_sum(w) for w in wg])
+    ip_dc = np.array([_window_sum(w * dk) for w, dk in zip(wg, d)])
+    ip_ds = np.array([_window_sum(w * dk * dk) for w, dk in zip(wg, d)])
+    return (float(err @ err), ip_g, a * (ip_dc * inv_var),
+            a * (ip_ds * inv_var / stds))
 
 
 @settings(max_examples=200, deadline=None)

@@ -48,7 +48,7 @@ def test_loss_of_empty_model_is_lifted_energy():
         assert v == pytest.approx(expect)
         assert len(g_a) == 0 and len(g_mu) == 0
         assert g_th.shape == (0, fam.n_params)
-        if name == "harmonic":
+        if name != "peak":
             *_, g_dict = loss(Y, empty, fam, cfg, with_dict_grad=True)
             assert g_dict.shape == fam.D.shape
             assert not g_dict.any()
@@ -142,7 +142,9 @@ class _IntegerPatterns:
     """A family of sampled patterns with square-integer values, whose
     lifted correlations with an integer residual are exact at q = 1/2
     and q = 1.  Pattern ``eta`` is ``(left, values)``: its samples at
-    the offsets ``-left .. len(values) - 1 - left`` from its shift."""
+    the offsets ``-left .. len(values) - 1 - left`` from its shift.  A
+    negative ``left`` starts the pattern after its shift, as a comb
+    without its fundamental does."""
 
     n_params = 1
     theta_nil = np.array([1.0])
@@ -170,7 +172,7 @@ def _xcorr_problems(draw):
     for _ in range(draw(st.integers(1, 3))):
         values = draw(st.lists(st.sampled_from([0.0, 1.0, 4.0, 9.0]),
                                min_size=1, max_size=5))
-        patterns.append((draw(st.integers(0, len(values) - 1)),
+        patterns.append((draw(st.integers(-2, len(values) - 1)),
                          np.array(values)))
     return (draw(_integer_residual(30)), patterns,
             draw(st.sampled_from([0.5, 1.0])), draw(st.integers(1, 6)),
@@ -372,7 +374,17 @@ def _harmonic_family():
     return harmonic_family(Dictionary(D), LogAxis(), StftConfig())
 
 
-_FAMILIES = {"peak": family, "harmonic": _harmonic_family}
+def _sparse_harmonic_family():
+    # Partial 3 is zero in every column, column 1 has one non-zero
+    # entry and columns 1 and 2 no fundamental: the kernels see only
+    # the partials with D[h, eta] != 0.
+    D = np.array([[0.7, 0.0, 0.0], [0.8, 0.0, 0.6], [0.0, 0.0, 0.0],
+                  [0.4, 0.9, 1.0]])
+    return harmonic_family(Dictionary(D), LogAxis(), StftConfig())
+
+
+_FAMILIES = {"peak": family, "harmonic": _harmonic_family,
+             "sparse_harmonic": _sparse_harmonic_family}
 
 
 def _theta_in_box(draw, fam, n):
@@ -490,7 +502,7 @@ def _curvature_problems():
     peaks = Atoms([1.3, 0.6], [40.2, 45.9], [0, 0], [[2.3], [1.4]])
     combs = Atoms([1.1, 0.7], [30.3, 260.8], [0, 1],
                   [[1.8e-4, 1e-3], [1.4e-4, 4e-3]])
-    return [("peak", peaks), ("harmonic", combs)]
+    return [("peak", peaks), ("harmonic", combs), ("sparse_harmonic", combs)]
 
 
 @pytest.mark.parametrize("q", [0.5, 1.0])
@@ -519,6 +531,31 @@ def test_curvature_is_the_jacobians_squared_column_norms(kind, atoms, q):
         expect[i] = column @ column
     assert np.all(got > 0.0)
     assert got == pytest.approx(expect, rel=1e-6)
+
+
+def test_dict_gradient_at_zero_entries_matches_finite_differences():
+    # The forward skips the partials with D[h, eta] == 0, but their
+    # entries still have gradients.  At q = 1 the loss is quadratic in
+    # D, so central differences through negative entries are exact up
+    # to rounding; at q = 1/2 a partial alone on the grid would put the
+    # difference next to DELTA, where the square root is far from
+    # linear.
+    fam = _sparse_harmonic_family()
+    cfg = PursuitConfig(q=1.0)
+    Y = np.abs(np.random.default_rng(5).normal(size=500)) * 0.1
+    atoms = Atoms([1.1, 0.7, 0.9], [30.3, 260.8, 150.2], [0, 1, 2],
+                  [[1.8e-4, 1e-3], [1.4e-4, 4e-3], [1.6e-4, 0.0]])
+    *_, g_dict = loss(Y, atoms, fam, cfg, with_dict_grad=True)
+    assert np.all(g_dict[fam.D == 0.0] != 0.0)
+    h = 1e-6
+    for idx in np.ndindex(fam.D.shape):
+        fam.D[idx] += h
+        fp = loss(Y, atoms, fam, cfg)[0]
+        fam.D[idx] -= 2.0 * h
+        fm = loss(Y, atoms, fam, cfg)[0]
+        fam.D[idx] += h
+        num = (fp - fm) / (2.0 * h)
+        assert abs(num - g_dict[idx]) <= 1e-5 * max(abs(num), 1e-3)
 
 
 def _three_peak_frame():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from harmosep.audio import partial_frequencies
 from harmosep.dictlearn import Dictionary, harmonic_family
 from harmosep.errors import DomainError
 from harmosep.fixtures import reed_spec, string_spec, two_instrument_fixture
+from harmosep.kernels import gaussian_accumulate
 from harmosep.logspect import to_log_spectrogram, transform_config
 from harmosep.pursuit import Atoms
 from harmosep.separate import (MASK_EPSILON, apply_mask,
@@ -54,6 +56,36 @@ def test_reconstruct_drops_partials_beyond_grid():
     out = reconstruct_instrument([atom], 0, fam, (300, 1))
     assert out[250, 0] == pytest.approx(1.0, rel=2e-2)
     assert np.all(np.isfinite(out))
+
+
+def test_reconstruct_skips_zero_partials_with_the_same_stems():
+    # A partial with D[h, eta] == 0 adds exactly 0.0 wherever its window
+    # lies, so leaving it out keeps every bit of the stems.
+    D = np.array([[0.0, 0.9], [0.7, 0.0], [0.0, 0.0], [0.3, 1.0],
+                  [0.0, 0.2]])
+    fam = _family(D)
+    axis = LogAxis()
+    frames = [Atoms([1.0, 0.4, 0.8], [axis.alpha(40.0), axis.alpha(41.3),
+                                      axis.alpha(55.0)], [0, 0, 1],
+                    [[fam.sigma_nil, 0.0], [1.3 * fam.sigma_nil, 2e-3],
+                     [fam.sigma_nil, 1e-3]]),
+              Atoms.empty(2),
+              Atoms([0.6], [axis.alpha(30.7)], [1],
+                    [[0.8 * fam.sigma_nil, 0.0]])]
+    shape = (400, len(frames))
+    for eta in range(D.shape[1]):
+        every = np.zeros(shape)
+        for t, atoms in enumerate(frames):
+            for j in np.flatnonzero(atoms.eta == eta):
+                sigma, b = atoms.theta[j]
+                f1 = axis.frequency(float(atoms.mu[j]))
+                gaussian_accumulate(
+                    every[:, t], partial_frequencies(f1, fam.n_har, b),
+                    atoms.a[j] * D[:, eta],
+                    np.full(fam.n_har, sigma * fam.bin_scale))
+        assert every.any()
+        assert np.array_equal(
+            reconstruct_instrument(frames, eta, fam, shape), every)
 
 
 def test_apply_mask_single_instrument_recovers_mixture(rng):
