@@ -108,6 +108,14 @@ def partial_frequencies(f1_hz, n_partials, b=0.0):
     return np.sqrt(1.0 + b * h**2) * h * f1_hz
 
 
+def sample_count(duration_s, sample_rate_hz):
+    """Samples in ``duration_s`` seconds; there must be at least one."""
+    n = duration_s * sample_rate_hz
+    if not (np.isfinite(n) and round(n) >= 1):
+        raise DomainError(f"a duration of {duration_s} s holds no sample")
+    return int(round(n))
+
+
 def synth_harmonic_tone(f1_hz, amplitudes, b, duration_s, sample_rate_hz,
                         phases=None):
     """Synthesize a harmonic tone with optional string inharmonicity.
@@ -125,7 +133,7 @@ def synth_harmonic_tone(f1_hz, amplitudes, b, duration_s, sample_rate_hz,
     phases = np.asarray(phases, dtype=np.float64)
     freqs = partial_frequencies(f1_hz, len(amplitudes), b)
     keep = freqs < sample_rate_hz / 2.0
-    n = int(round(duration_s * sample_rate_hz))
+    n = sample_count(duration_s, sample_rate_hz)
     t = np.arange(n) / sample_rate_hz
     x = np.zeros(n)
     for a, f, ph in zip(amplitudes[keep], freqs[keep], phases[keep]):

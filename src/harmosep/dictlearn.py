@@ -34,8 +34,6 @@ DEFAULT_PRUNE_INTERVAL = 500
 # Upper bound of the inharmonicity b, for training and separation alike.
 DEFAULT_B_MAX = 5e-3
 
-_LN2 = np.log(2.0)
-
 
 @dataclass
 class Dictionary:
@@ -64,12 +62,13 @@ class HarmonicPatternFamily:
     n_params = 2
 
     def __init__(self, D, axis, sigma_nil, bin_scale):
-        self.D = np.asarray(D, dtype=np.float64)
+        # A read-only copy: ``train`` updates its dictionary in place.
+        self.D = np.array(D, dtype=np.float64)
+        self.D.flags.writeable = False
         self.axis = axis
         self.sigma_nil = float(sigma_nil)
         self.bin_scale = float(bin_scale)
-        self.n_patterns = self.D.shape[1]
-        self.n_har = self.D.shape[0]
+        self.n_har, self.n_patterns = self.D.shape
         self.theta_nil = np.array([self.sigma_nil, 0.0])
         self.theta_box = BoxSpec(
             np.array([WIDTH_RANGE[0] * self.sigma_nil, 0.0]),
@@ -79,72 +78,62 @@ class HarmonicPatternFamily:
         self._log2_h = np.log2(h)
         self._h2 = h**2
 
-    def partial_offsets(self, b):
-        """Log-axis offsets of the partials relative to the fundamental;
-        ``b`` may be a scalar or a column vector for batched atoms."""
-        return self.axis.alpha0 * (self._log2_h
-                                   + 0.5 * np.log2(1.0 + b * self._h2))
+    def partial_offsets(self, b, partial=slice(None)):
+        """Log-axis offsets of the partials (or of the indices
+        ``partial``) from the fundamental; ``b`` broadcasts against them."""
+        return self.axis.alpha0 * (
+            self._log2_h[partial]
+            + 0.5 * np.log2(1.0 + b * self._h2[partial]))
 
-    def _doffsets_db(self, b):
-        h2 = self._h2
-        return self.axis.alpha0 * 0.5 * h2 / ((1.0 + b * h2) * _LN2)
-
-    def _partials(self, atoms):
-        """One Gaussian per (atom, partial) pair: the centres and the
-        weights ``D[h, eta]``, of shape ``(n_atoms, n_har)``, and the
-        standard deviations, flat."""
-        b = atoms.theta[:, 1][:, None]
-        centers = atoms.mu[:, None] + self.partial_offsets(b)
+    def _bumps(self, atoms):
+        """One Gaussian per live partial, an (atom, partial) pair with
+        ``D[h, eta] != 0``, in row-major order; the others add exactly
+        nothing, so they get no window.  Returns the centres, amplitudes
+        and stds and each bump's ``(atom, partial, weight)``."""
         weights = self.D[:, atoms.eta].T
-        stds = np.repeat(atoms.theta[:, 0] * self.bin_scale, self.n_har)
-        return centers, weights, stds
-
-    def _flatten(self, atoms):
-        # Only the partials with D[h, eta] != 0: the others add exactly
-        # nothing to the model, so they get no window.
-        centers, weights, stds = self._partials(atoms)
-        live = weights != 0.0
-        amps = (atoms.a[:, None] * weights)[live]
-        return centers[live], amps, stds[live.ravel()], (weights, live)
+        atom, partial = owners = np.nonzero(weights)
+        weight = weights[owners]
+        centers = atoms.mu[atom] + self.partial_offsets(
+            atoms.theta[atom, 1], partial)
+        stds = atoms.theta[atom, 0] * self.bin_scale
+        return centers, atoms.a[atom] * weight, stds, owners + (weight,)
 
     def accumulate(self, out, atoms):
-        centers, amps, stds, _ = self._flatten(atoms)
-        gaussian_accumulate(out, centers, amps, stds)
-        return out
+        centers, amps, stds, _ = self._bumps(atoms)
+        return gaussian_accumulate(out, centers, amps, stds)
 
     def forward(self, length, atoms):
-        centers, amps, stds, partials = self._flatten(atoms)
+        centers, amps, stds, owners = self._bumps(atoms)
         values, lo, cache = gaussian_forward(length, centers, amps, stds)
-        return values, lo, (cache, partials)
+        return values, lo, (cache, owners)
 
-    @staticmethod
-    def _chain(per_bump, dweights, live, a, bin_scale, doff):
+    def _chain(self, per_bump, ctx, atoms, power):
         """The chain rule from the live bumps' (value, centre, std) terms
-        to the atoms' (a, mu, sigma, b), with the weights ``D[h, eta]``,
-        the amplitudes, the bin scale and d(offset)/db as factors.  The
-        terms go back into the ``(n_atoms, n_har)`` grid of ``live``,
-        zero at the skipped partials."""
-        i_g, i_dc, i_ds = grid = np.zeros((3,) + live.shape)
-        grid[:, live] = per_bump
-        dw_dc = dweights * i_dc
-        i_sigma = a * (dweights * i_ds).sum(axis=1) * bin_scale
-        i_b = a * (dw_dc * doff).sum(axis=1)
-        return ((dweights * i_g).sum(axis=1), a * dw_dc.sum(axis=1),
-                np.stack([i_sigma, i_b], axis=1))
+        to the atoms' (a, mu, sigma, b), with every factor (the weight
+        ``D[h, eta]``, amplitude, bin scale and d(offset)/db) to the power
+        ``power``: 2 for the curvature, which leaves out the cross terms
+        of overlapping partials.  Each term is summed by rows of a zero
+        ``(n_atoms, n_har)`` grid, in the order of a sum over all."""
+        _, (atom, partial, weight) = ctx
+        i_g, i_dc, i_ds = per_bump
+        b, h2 = atoms.theta[atom, 1], self._h2[partial]
+        doff = self.axis.alpha0 * 0.5 * h2 / ((1.0 + b * h2) * np.log(2.0))
+        w = weight**power
+        w_dc = w * i_dc
+        grid = np.zeros((4, len(atoms), self.n_har))
+        grid[:, atom, partial] = w * i_g, w_dc, w * i_ds, w_dc * doff**power
+        g, dc, ds, db = grid.sum(axis=2)
+        a = atoms.a**power
+        return g, a * dc, np.stack([a * ds * self.bin_scale**power, a * db],
+                                   axis=1)
 
     def adjoint(self, weights_vec, ctx, atoms):
-        cache, (dweights, live) = ctx
-        return self._chain(gaussian_adjoint(weights_vec, cache), dweights,
-                           live, atoms.a, self.bin_scale,
-                           self._doffsets_db(atoms.theta[:, 1][:, None]))
+        return self._chain(gaussian_adjoint(weights_vec, ctx[0]), ctx,
+                           atoms, 1)
 
     def curvature(self, row_weights, ctx, atoms):
-        # The chain rule with every factor squared: the cross terms of
-        # partials whose windows overlap are left out.
-        cache, (dweights, live) = ctx
-        return self._chain(gaussian_curvature(row_weights, cache),
-                           dweights**2, live, atoms.a**2, self.bin_scale**2,
-                           self._doffsets_db(atoms.theta[:, 1][:, None])**2)
+        return self._chain(gaussian_curvature(row_weights, ctx[0]), ctx,
+                           atoms, 2)
 
     def dict_backprop(self, weights_vec, atoms):
         """Gradient of the loss with respect to the dictionary entries,
@@ -152,15 +141,15 @@ class HarmonicPatternFamily:
         the whole grid.  Every partial takes part: a zero entry of ``D``
         still has a gradient."""
         g = np.zeros_like(self.D)
-        centers, weights, stds = self._partials(atoms)
+        centers = atoms.mu[:, None] + self.partial_offsets(atoms.theta[:, 1:])
+        stds = np.repeat(atoms.theta[:, 0] * self.bin_scale, self.n_har)
         ip_g, _, _ = gaussian_backprop(weights_vec, centers.ravel(), stds)
         np.add.at(g.T, atoms.eta,
-                  atoms.a[:, None] * ip_g.reshape(weights.shape))
+                  atoms.a[:, None] * ip_g.reshape(centers.shape))
         return g
 
     def support_halfwidth(self):
-        top = self.axis.alpha0 * np.log2(
-            self.n_har * np.sqrt(1.0 + DEFAULT_B_MAX * self.n_har**2))
+        top = self.partial_offsets(DEFAULT_B_MAX)[-1]
         return top + CUTOFF_SIGMAS * self.theta_box.upper[0] * self.bin_scale
 
 

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioClip, synth_harmonic_tone
-from .errors import DomainError
+from .audio import AudioClip, sample_count, synth_harmonic_tone
 
 QUANTUM = 2.0 ** -14
 SAMPLE_RATE_HZ = 48000
@@ -55,10 +54,8 @@ def string_spec():
 def render_melody(spec, duration_s, seed):
     """A monophonic melody of random notes from the instrument's pitch
     set, with occasional rests, peak-quantized for exact summation."""
-    if duration_s <= 0:
-        raise DomainError("duration must be positive")
+    n = sample_count(duration_s, SAMPLE_RATE_HZ)
     rng = np.random.default_rng(seed)
-    n = int(round(duration_s * SAMPLE_RATE_HZ))
     x = np.zeros(n)
     n_note = int(round(NOTE_S * SAMPLE_RATE_HZ))
     start = 0

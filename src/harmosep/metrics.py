@@ -88,11 +88,14 @@ def _as_matrix(signals):
 def bss_eval(references, estimates):
     """Evaluate separated signals against the true sources.
 
-    Both arguments are lists of AudioClips (or plain vectors) of equal
-    count; estimates are zero-padded or truncated to the reference
-    length.  Scores are reported per estimate under the best
-    permutation.
+    Both arguments are lists of AudioClips of one sample rate (or plain
+    vectors) of equal count; estimates are zero-padded or truncated to
+    the reference length.  Scores are reported per estimate under the
+    best permutation.
     """
+    if len({getattr(s, "sample_rate_hz", None)
+            for s in [*references, *estimates]} - {None}) > 1:
+        raise DomainError("the clips differ in sample rate")
     R = _as_matrix(references)
     E = _as_matrix(estimates)
     if E.shape[0] != R.shape[0]:

@@ -96,11 +96,13 @@ class PursuitConfig:
             raise DomainError("q must lie in (0, 1]")
         if not 0.0 < self.lam <= 1.0:
             raise DomainError("lam must lie in (0, 1]")
-        for name in ("n_pre", "n_spr", "max_evals"):
-            if not getattr(self, name) >= 1:
-                raise DomainError(f"{name} must be >= 1")
-        if self.n_itr is not None and not self.n_itr >= 1:
-            raise DomainError("n_itr must be None or >= 1")
+        if self.selector not in _SELECTORS:
+            raise DomainError(f"selector must be one of {sorted(_SELECTORS)}")
+        for name in ("n_pre", "n_spr", "max_evals", "n_itr"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= 1
+                    or name == "n_itr" and value is None):
+                raise DomainError(f"{name} must be an integer >= 1")
         if not (np.isfinite(self.floor_rel) and self.floor_rel >= 0.0):
             raise DomainError("floor_rel must be finite and >= 0")
 

@@ -88,11 +88,18 @@ def test_criterion_2_analytic_gradients():
         _, g_a, g_mu, g_th, g_D = loss(Y, arrays, family, cfg,
                                        with_dict_grad=True)
 
+        def perturbed_loss():
+            # A family keeps its own copy of D: build one on the
+            # perturbed entries.
+            return loss(Y, arrays, harmonic_family(Dictionary(D), axis=axis,
+                                                   stft_cfg=stft_cfg),
+                        cfg)[0]
+
         def numeric(vec, j, h):
             vec[j] += h
-            fp = loss(Y, arrays, family, cfg)[0]
+            fp = perturbed_loss()
             vec[j] -= 2.0 * h
-            fm = loss(Y, arrays, family, cfg)[0]
+            fm = perturbed_loss()
             vec[j] += h
             return (fp - fm) / (2.0 * h)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import harmosep
-from harmosep.audio import read_wav
+from harmosep.audio import AudioClip, read_wav, write_wav
 from harmosep.cli import DEFAULTS, load_config, main
 from harmosep.dictlearn import save_dictionary, train
 from harmosep.errors import ConfigError
@@ -95,6 +95,22 @@ def test_synth_octave_fixture(tmp_path):
                  "--duration", "0.5"]) == 0
     mix = read_wav(out / "mix.wav")
     assert len(mix.samples) == 24000
+
+
+@pytest.mark.parametrize("kind, duration", [
+    ("octave", "0"), ("octave", "-1"), ("octave", "1e-9"),
+    ("octave", "nan"), ("octave", "inf"),
+    ("standard", "nan"), ("standard", "inf"), ("standard", "0"),
+    ("standard", "1e-9"),
+])
+def test_synth_duration_without_samples_exits_2(tmp_path, capsys, kind,
+                                                duration):
+    code = main(["synth", "--outdir", str(tmp_path / "out"), "--kind", kind,
+                 "--duration", duration])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("harmosep:") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")
@@ -230,6 +246,19 @@ def test_eval_identical_files(short_fixture, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "sdr_db=inf" in out
+
+
+def test_eval_refuses_clips_of_different_sample_rates(tmp_path, capsys):
+    t = np.arange(4800)
+    for name, rate in (("a48.wav", 48000), ("a44.wav", 44100)):
+        write_wav(AudioClip(0.3 * np.sin(2 * np.pi * 440.0 * t / rate), rate),
+                  tmp_path / name)
+    code = main(["eval", "--refs", str(tmp_path / "a48.wav"),
+                 "--ests", str(tmp_path / "a44.wav")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "sample rate" in captured.err and "Traceback" not in captured.err
+    assert "sdr_db" not in captured.out
 
 
 def test_readme_workflow_end_to_end(short_fixture, tmp_path, capsys):

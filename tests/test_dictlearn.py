@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from harmosep.dictlearn import (Dictionary, TrainState, harmonic_family,
                                 init_column, load_dictionary,
                                 save_dictionary, train, _prune)
 from harmosep.errors import ConfigError, DomainError, FormatError
+from harmosep.kernels import (gaussian_accumulate, gaussian_adjoint,
+                              gaussian_backprop, gaussian_curvature,
+                              gaussian_forward)
 from harmosep.optim import AdamState
-from harmosep.pursuit import Atoms, PursuitConfig, loss
+from harmosep.pursuit import Atoms, PursuitConfig, loss, select_xcorr
 from harmosep.stft import LogAxis, SpectrogramGrid, StftConfig
 
 
@@ -104,6 +108,131 @@ def test_dict_gradient_matches_finite_differences(rng):
             fm = loss(Y, arrays, _family(Dm), cfg)[0]
             num = (fp - fm) / (2 * h)
             assert abs(num - gD[hh, eta]) <= 1e-5 * max(abs(num), 1e-3)
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and \
+        x.tobytes() == y.tobytes()
+
+
+class _GridReference:
+    """The harmonic model written over the whole ``(n_atoms, n_har)``
+    grid: every partial's offset, its weight ``D[h, eta]`` and
+    d(offset)/db, with the zero-weight partials dropped only where the
+    bumps go to the kernels and scattered back as zeros."""
+
+    def __init__(self, fam, atoms):
+        h = np.arange(1, fam.n_har + 1, dtype=np.float64)
+        h2 = h**2
+        b = atoms.theta[:, 1][:, None]
+        alpha0 = fam.axis.alpha0
+        centers = atoms.mu[:, None] + alpha0 * (np.log2(h)
+                                                + 0.5 * np.log2(1.0 + b * h2))
+        self.weights = fam.D[:, atoms.eta].T
+        self.live = self.weights != 0.0
+        stds = np.repeat(atoms.theta[:, 0] * fam.bin_scale, fam.n_har)
+        self.all_bumps = centers.ravel(), stds
+        self.bumps = (centers[self.live],
+                      (atoms.a[:, None] * self.weights)[self.live],
+                      stds[self.live.ravel()])
+        self.doff = alpha0 * 0.5 * h2 / ((1.0 + b * h2) * np.log(2.0))
+        self.fam, self.atoms = fam, atoms
+
+    def chain(self, per_bump, power):
+        dweights = self.weights**power
+        a = self.atoms.a**power
+        i_g, i_dc, i_ds = grid = np.zeros((3,) + self.live.shape)
+        grid[:, self.live] = per_bump
+        dw_dc = dweights * i_dc
+        i_sigma = a * (dweights * i_ds).sum(axis=1) * \
+            self.fam.bin_scale**power
+        i_b = a * (dw_dc * self.doff**power).sum(axis=1)
+        return ((dweights * i_g).sum(axis=1), a * dw_dc.sum(axis=1),
+                np.stack([i_sigma, i_b], axis=1))
+
+    def dict_backprop(self, weights_vec):
+        g = np.zeros_like(self.fam.D)
+        ip_g, _, _ = gaussian_backprop(weights_vec, *self.all_bumps)
+        np.add.at(g.T, self.atoms.eta,
+                  self.atoms.a[:, None] * ip_g.reshape(self.weights.shape))
+        return g
+
+
+@st.composite
+def _sparse_dictionaries(draw):
+    """A dictionary with zero entries, and possibly an all-zero column
+    and a zero fundamental."""
+    n_har = draw(st.integers(1, 25))
+    n_pat = draw(st.integers(1, 3))
+    entries = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    D = np.reshape(draw(st.lists(entries, min_size=n_har * n_pat,
+                                 max_size=n_har * n_pat)), (n_har, n_pat))
+    if draw(st.booleans()):
+        D[:, draw(st.integers(0, n_pat - 1))] = 0.0
+    if draw(st.booleans()):
+        D[0, draw(st.integers(0, n_pat - 1))] = 0.0
+    return D
+
+
+LENGTH = 1024
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sparse_dictionaries(), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_live_bumps_match_the_full_grid_bitwise(D, n, seed):
+    # Zero atoms included: every array then has length 0.
+    fam = _family(D)
+    rng = np.random.default_rng(seed)
+    lower, upper = fam.theta_box.lower, fam.theta_box.upper
+    atoms = Atoms(rng.uniform(0.0, 2.0, n), rng.uniform(-50.0, LENGTH, n),
+                  rng.integers(0, fam.n_patterns, n),
+                  lower + (upper - lower) * rng.random((n, 2)))
+    ref = _GridReference(fam, atoms)
+
+    values, lo, ctx = fam.forward(LENGTH, atoms)
+    ref_values, ref_lo, ref_cache = gaussian_forward(LENGTH, *ref.bumps)
+    assert lo == ref_lo and _same_bits(values, ref_values)
+
+    out = rng.random(LENGTH)
+    expect = gaussian_accumulate(out.copy(), *ref.bumps)
+    assert _same_bits(fam.accumulate(out, atoms), expect)
+
+    w = rng.normal(size=len(values))
+    for got, per_bump, power in (
+            (fam.adjoint(w, ctx, atoms), gaussian_adjoint(w, ref_cache), 1),
+            (fam.curvature(w, ctx, atoms),
+             gaussian_curvature(w, ref_cache), 2)):
+        for g, r in zip(got, ref.chain(per_bump, power)):
+            assert _same_bits(g, r)
+
+    whole = rng.normal(size=LENGTH)
+    assert _same_bits(fam.dict_backprop(whole, atoms),
+                      ref.dict_backprop(whole))
+
+
+def test_family_keeps_its_own_dictionary(rng):
+    # Training changes its dictionary in place after each step; a family
+    # built before must keep the patterns it was built with, which its
+    # preselection samples once.
+    dictionary = Dictionary(rng.random((6, 2)))
+    original = dictionary.D.copy()
+    fam = harmonic_family(dictionary, LogAxis(), StftConfig())
+    atoms = Atoms([0.8, 0.6], [400.3, 550.1], [0, 1],
+                  [fam.theta_nil, [fam.sigma_nil, 1e-4]])
+    before = fam.forward(1024, atoms)[:2]
+    dictionary.D *= 0.5
+    dictionary.D[0] = 1.0
+    assert not fam.D.flags.writeable
+    assert np.array_equal(fam.D, original)
+    after = fam.forward(1024, atoms)[:2]
+    assert after[1] == before[1] and np.array_equal(after[0], before[0])
+    residual = fam.accumulate(np.zeros(1024), atoms) ** 0.5
+    cfg = PursuitConfig(q=0.5)
+    fresh = _family(original)
+    for got, expect in zip(select_xcorr(residual, fam, cfg, 2),
+                           select_xcorr(residual, fresh, cfg, 2)):
+        assert np.array_equal(got, expect)
 
 
 def test_prune_keeps_top_ranked_columns():

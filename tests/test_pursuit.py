@@ -7,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from harmosep import pursuit
-from harmosep.dictlearn import Dictionary, harmonic_family
+from harmosep.dictlearn import (Dictionary, HarmonicPatternFamily,
+                                harmonic_family)
 from harmosep.errors import DomainError, OptimizationError
 from harmosep.kernels import sample_gaussian
 from harmosep.logspect import (GaussianPeakFamily, gaussian_family,
@@ -29,10 +30,13 @@ def test_config_validation():
         PursuitConfig(lam=1.5)
     for bad in (dict(n_pre=0), dict(n_spr=0), dict(n_spr=-1),
                 dict(max_evals=0), dict(n_itr=0), dict(floor_rel=-1e-6),
-                dict(floor_rel=np.nan), dict(floor_rel=np.inf)):
+                dict(floor_rel=np.nan), dict(floor_rel=np.inf),
+                dict(selector="bogus"), dict(n_pre=1.5), dict(n_spr=2.5),
+                dict(max_evals=2.5), dict(n_itr=1.5)):
         with pytest.raises(DomainError):
             PursuitConfig(**bad)
     assert PursuitConfig(n_spr=3).iterations(2) == 12
+    assert PursuitConfig(n_spr=np.int64(3), selector="peaks").n_spr == 3
     assert PursuitConfig(n_itr=7).iterations(2) == 7
 
 
@@ -547,13 +551,20 @@ def test_dict_gradient_at_zero_entries_matches_finite_differences():
                   [[1.8e-4, 1e-3], [1.4e-4, 4e-3], [1.6e-4, 0.0]])
     *_, g_dict = loss(Y, atoms, fam, cfg, with_dict_grad=True)
     assert np.all(g_dict[fam.D == 0.0] != 0.0)
+
+    def shifted(idx, step):
+        # A family keeps a read-only copy of its dictionary, and a
+        # Dictionary holds entries in [0, 1] only: build the family on
+        # the perturbed matrix directly.
+        D = fam.D.copy()
+        D[idx] += step
+        return HarmonicPatternFamily(D, fam.axis, fam.sigma_nil,
+                                     fam.bin_scale)
+
     h = 1e-6
     for idx in np.ndindex(fam.D.shape):
-        fam.D[idx] += h
-        fp = loss(Y, atoms, fam, cfg)[0]
-        fam.D[idx] -= 2.0 * h
-        fm = loss(Y, atoms, fam, cfg)[0]
-        fam.D[idx] += h
+        fp = loss(Y, atoms, shifted(idx, h), cfg)[0]
+        fm = loss(Y, atoms, shifted(idx, -h), cfg)[0]
         num = (fp - fm) / (2.0 * h)
         assert abs(num - g_dict[idx]) <= 1e-5 * max(abs(num), 1e-3)
 
