@@ -27,7 +27,7 @@ from .kernels import (CUTOFF_SIGMAS, gaussian_accumulate, gaussian_adjoint,
 from .logspect import WIDTH_RANGE
 from .optim import AdamState, BoxSpec, adam_step
 from .pursuit import PursuitConfig, loss, pursue
-from .stft import LogAxis, checked_axis
+from .stft import LogAxis, checked_axis, is_count
 
 DEFAULT_N_HAR = 25
 DEFAULT_PRUNE_INTERVAL = 500
@@ -217,8 +217,11 @@ def train(U, n_ins, n_spr, n_trn, seed, *, n_har=DEFAULT_N_HAR,
     checked_axis(U, LogAxis)
     if stft_cfg is not None and stft_cfg != U.stft:
         raise DomainError(f"{stft_cfg} differs from the spectrogram's STFT")
-    if n_ins < 1 or prune_interval < 1:
-        raise ConfigError("n_ins and the prune interval must be >= 1")
+    if not all(is_count(n) for n in (n_ins, n_trn, n_har, prune_interval)):
+        raise ConfigError("n_ins, n_trn, n_har and the prune interval must "
+                          "be integers >= 1")
+    if not is_count(seed, least=0):
+        raise ConfigError(f"the seed must be an integer >= 0, got {seed!r}")
     if n_trn % prune_interval != 0:
         raise ConfigError("n_trn must be a multiple of the prune interval")
     if U.values.shape[1] == 0:

@@ -15,7 +15,7 @@ import struct
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, DomainError, FormatError
 from .kernels import (CUTOFF_SIGMAS, gaussian_accumulate, gaussian_adjoint,
                       gaussian_curvature, gaussian_forward)
 # Unused here, but kept bound: perfbench/tracer.py times each kernel
@@ -107,6 +107,9 @@ def to_log_spectrogram(Z, axis=None, stft_cfg=None, pursuit_cfg=None):
     """
     if axis is None:
         axis = LogAxis()
+    if not isinstance(axis, LogAxis):
+        raise DomainError(f"the transform's axis must be a LogAxis, got "
+                          f"{type(axis).__name__}")
     if pursuit_cfg is None:
         pursuit_cfg = transform_config()
     family = gaussian_family(checked_axis(Z, StftConfig, stft_cfg))

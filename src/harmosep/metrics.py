@@ -93,6 +93,8 @@ def bss_eval(references, estimates):
     the reference length.  Scores are reported per estimate under the
     best permutation.
     """
+    if len(references) == 0 or len(estimates) == 0:
+        raise DomainError("there are no signals to evaluate")
     if len({getattr(s, "sample_rate_hz", None)
             for s in [*references, *estimates]} - {None}) > 1:
         raise DomainError("the clips differ in sample rate")

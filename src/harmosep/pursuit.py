@@ -22,10 +22,11 @@ without them most refines ended at their evaluation cap.
 
 Atoms exist in one form only, :class:`Atoms`: parallel arrays of
 amplitudes ``a``, shifts ``mu``, pattern indices ``eta`` and parameter
-rows ``theta``.  The pursuit refines them in place, :func:`pursue`
-returns them in its :class:`PursuitResult`, and :func:`loss`, the
-spectrogram transform, dictionary training and separation all read
-them as they are.
+rows ``theta``.  They are values: a refine returns new atoms and
+leaves the ones it was given as they were, :func:`pursue` keeps its
+last accepted set and returns it in its :class:`PursuitResult`, and
+:func:`loss`, the spectrogram transform, dictionary training and
+separation all read them as they are.
 
 Pattern families are duck-typed; see :class:`GaussianPeakFamily` in
 :mod:`harmosep.logspect` for the reference implementation.  A family is
@@ -137,21 +138,16 @@ class Atoms:
     def __len__(self):
         return len(self.a)
 
-    def copy(self):
-        return Atoms(self.a.copy(), self.mu.copy(), self.eta.copy(),
-                     self.theta.copy())
+    def __getitem__(self, mask):
+        return Atoms(self.a[mask], self.mu[mask], self.eta[mask],
+                     self.theta[mask])
 
-    def extend(self, a, mu, eta, theta):
-        self.a = np.concatenate([self.a, a])
-        self.mu = np.concatenate([self.mu, mu])
-        self.eta = np.concatenate([self.eta, eta])
-        self.theta = np.concatenate([self.theta, theta])
-
-    def keep(self, mask):
-        self.a = self.a[mask]
-        self.mu = self.mu[mask]
-        self.eta = self.eta[mask]
-        self.theta = self.theta[mask]
+    def extended(self, a, mu, eta, theta):
+        """These atoms followed by the given ones."""
+        return Atoms(np.concatenate([self.a, a]),
+                     np.concatenate([self.mu, mu]),
+                     np.concatenate([self.eta, eta]),
+                     np.concatenate([self.theta, theta]))
 
 
 #: Why :func:`pursue` stopped, as ``PursuitResult.stop`` names it.
@@ -346,24 +342,28 @@ def _refine(target, atoms, family, cfg):
     L-BFGS-B works on ``x / s``, with ``s`` the scales that
     :func:`_scales` takes at the clipped start (Moré's diagonal
     scaling), so that its relative-decrease test can end the refine
-    before ``cfg.max_evals``.  Returns ``(loss, evals)``: the refined
-    loss and the number of loss evaluations spent; the loss is always
-    that of the atoms as returned, inside the box.  If the loss turns
-    NaN, the atoms keep the best valid iterate and its loss; if there
-    is none, the start's scales included, they stay as they came and
-    the loss is ``inf``, which ends the pursuit.
+    before ``cfg.max_evals``.  Returns ``(atoms, loss, evals)``: new
+    refined atoms inside the box, their loss and the number of loss
+    evaluations spent; the given atoms are left as they are.  If the
+    loss turns NaN, the refined atoms are the best valid iterate; if
+    there is none, the start's scales included, they are the given
+    atoms themselves and the loss is ``inf``, which ends the pursuit.
     """
     n = len(atoms)
     n_par = family.n_params
-    x_in = np.concatenate([atoms.a, atoms.mu, atoms.theta.ravel()])
     box = BoxSpec(
         np.concatenate([np.zeros(n), np.full(n, -np.inf),
                         np.tile(family.theta_box.lower, n)]),
         np.concatenate([np.full(2 * n, np.inf),
                         np.tile(family.theta_box.upper, n)]))
-    x0 = box.clip(x_in)
-    start = Atoms(x0[:n], x0[n:2 * n], atoms.eta,
-                  x0[2 * n:].reshape(n, n_par))
+    x0 = box.clip(np.concatenate([atoms.a, atoms.mu, atoms.theta.ravel()]))
+
+    def at(x):
+        return Atoms(x[:n], x[n:2 * n], atoms.eta, x[2 * n:].reshape(n, n_par))
+
+    # The atoms every evaluation writes its point into: one per refine,
+    # as a new Atoms per evaluation costs measurable time.
+    trial = at(x0)
     # One gradient buffer for every evaluation; minimize_box reads it
     # before the next evaluation overwrites it.
     grad = np.empty(len(x0))
@@ -374,10 +374,10 @@ def _refine(target, atoms, family, cfg):
         nonlocal evals
         evals += 1
         x = y * scale
-        atoms.a = x[:n]
-        atoms.mu = x[n:2 * n]
-        atoms.theta = x[2 * n:].reshape(n, n_par)
-        v, g_a, g_mu, g_theta = loss(target, atoms, family, cfg)
+        trial.a = x[:n]
+        trial.mu = x[n:2 * n]
+        trial.theta = x[2 * n:].reshape(n, n_par)
+        v, g_a, g_mu, g_theta = loss(target, trial, family, cfg)
         grad[:n] = g_a
         grad[n:2 * n] = g_mu
         grad_theta[...] = g_theta
@@ -385,34 +385,34 @@ def _refine(target, atoms, family, cfg):
         return v, grad
 
     try:
-        scale = _scales(target, start, family, cfg)
+        scale = _scales(target, trial, family, cfg)
         y, f = minimize_box(objective, x0 / scale,
                             BoxSpec(box.lower / scale, box.upper / scale),
                             max_evals=cfg.max_evals)
     except OptimizationError as err:
         y, f = err.best_x, err.best_f
-    x = x_in if y is None else box.clip(y * scale)
-    atoms.a = x[:n]
-    atoms.mu = x[n:2 * n]
-    atoms.theta = x[2 * n:].reshape(n, n_par)
     if y is None:
-        return np.inf, evals
+        return atoms, np.inf, evals
+    x = box.clip(y * scale)
+    refined = at(x)
     if not np.array_equal(x, y * scale):
         # y * scale rounded past a bound of the box; the atoms the box
         # clipped back carry their own loss.
-        f = loss(target, atoms, family, cfg)[0]
+        f = loss(target, refined, family, cfg)[0]
         evals += 1
-    return f, evals
+    return refined, f, evals
 
 
-def _sparsify(atoms, n_patterns, n_spr):
+def _strongest(atoms, n_patterns, n_spr):
+    """The mask of the ``n_spr`` atoms of largest amplitude per
+    pattern index."""
     keep = np.zeros(len(atoms), dtype=bool)
     for eta in range(n_patterns):
         members = np.nonzero(atoms.eta == eta)[0]
         if len(members) > n_spr:
             members = members[np.argsort(atoms.a[members])[::-1][:n_spr]]
         keep[members] = True
-    atoms.keep(keep)
+    return keep
 
 
 def pursue(Y, family, cfg):
@@ -439,7 +439,7 @@ def pursue(Y, family, cfg):
     # Noise floor in lifted amplitude units, relative to the frame peak.
     lifted_peak = float(np.max(target.lifted))
     floor = cfg.floor_rel * lifted_peak
-    amp_floor = floor ** (1.0 / cfg.q) if floor > 0.0 else 0.0
+    amp_floor = floor ** (1.0 / cfg.q)
     # Below this the fit is at machine precision and the relative
     # lam-improvement test is dominated by rounding noise.
     loss_floor = len(Y) * (np.finfo(np.float64).eps * lifted_peak) ** 2
@@ -452,26 +452,23 @@ def pursue(Y, family, cfg):
         if len(cand[0]) == 0:
             stop = "no candidate"
             break
-        snapshot = atoms.copy()
-        atoms.extend(*cand)
-        cur_loss, spent = _refine(target, atoms, family, cfg)
+        trial, cur_loss, spent = _refine(target, atoms.extended(*cand),
+                                         family, cfg)
         evals += spent
-        n_before = len(atoms)
-        _sparsify(atoms, family.n_patterns, cfg.n_spr)
+        strongest = _strongest(trial, family.n_patterns, cfg.n_spr)
         # An infinite loss is a refine without a valid iterate; the
-        # check below then ends the pursuit at the snapshot.
-        if len(atoms) != n_before and np.isfinite(cur_loss):
-            cur_loss, spent = _refine(target, atoms, family, cfg)
+        # plateau test below then ends the pursuit at ``atoms``.
+        if not strongest.all() and np.isfinite(cur_loss):
+            trial, cur_loss, spent = _refine(target, trial[strongest],
+                                             family, cfg)
             evals += spent
-        n_refined = len(atoms)
-        # Drop dead atoms and shifts that left the sampled support.
-        atoms.keep((atoms.a > amp_floor)
-                   & (atoms.mu > -hw) & (atoms.mu < len(Y) - 1 + hw))
         if cur_loss >= cfg.lam * atoms_loss:
-            atoms = snapshot
             stop = "plateau" if np.isfinite(cur_loss) else "refine failed"
             break
-        atoms_loss, dropped = cur_loss, len(atoms) != n_refined
+        # Drop dead atoms and shifts that left the sampled support.
+        live = ((trial.a > amp_floor)
+                & (trial.mu > -hw) & (trial.mu < len(Y) - 1 + hw))
+        atoms, atoms_loss, dropped = trial[live], cur_loss, not live.all()
     if dropped:
         atoms_loss, *_ = loss(target, atoms, family, cfg)
         evals += 1

@@ -14,10 +14,10 @@ import numpy as np
 from .audio import partial_frequencies
 from .dictlearn import Dictionary, harmonic_family, training_config
 from .errors import DomainError
-from .kernels import gaussian_accumulate
+from .kernels import CUTOFF_SIGMAS, gaussian_accumulate
 from .pursuit import pursue
-from .stft import (LogAxis, SpectrogramGrid, StftConfig, checked_axis,
-                   griffin_lim)
+from .stft import (LogAxis, SpectrogramGrid, StftConfig, check_griffin_lim,
+                   checked_axis, griffin_lim)
 
 MASK_EPSILON = 1e-12
 
@@ -37,7 +37,10 @@ def reconstruct_instrument(atoms_per_frame, eta, family, shape):
     centered at ``sqrt(1 + b h^2) h f1`` bins (f1 recovered from the
     shift on ``family.axis``) with the atom's bin-domain width; partials
     beyond the grid end fall off the rasterizer, and partials with
-    ``D[h, eta] == 0``, which add nothing, are not rendered.
+    ``D[h, eta] == 0``, which add nothing, are not rendered.  Neither is
+    an atom whose fundamental, the lowest of its partials, lies past the
+    last bin by more than a window's reach: it adds nothing either, and
+    its ``f1`` could overflow.
     """
     out = np.zeros(shape)
     live = np.flatnonzero(family.D[:, eta])
@@ -45,12 +48,18 @@ def reconstruct_instrument(atoms_per_frame, eta, family, shape):
     for t, atoms in enumerate(atoms_per_frame):
         for j in np.flatnonzero(atoms.eta == eta):
             sigma, b = atoms.theta[j]
+            std = sigma * family.bin_scale
+            # The fundamental's window starts at round(f1) -
+            # ceil(CUTOFF_SIGMAS * std) - 1 > f1 - CUTOFF_SIGMAS * std - 2.5.
+            if atoms.mu[j] > family.axis.alpha(shape[0] + CUTOFF_SIGMAS * std
+                                               + 2.0):
+                continue
             # A Python float: 2.0 ** x on it rounds as libm's pow does,
             # which NumPy's vectorised power does not always match.
             f1 = family.axis.frequency(float(atoms.mu[j]))
             centers = partial_frequencies(f1, family.n_har, b)[live]
             amps = atoms.a[j] * weights
-            stds = np.full(len(live), sigma * family.bin_scale)
+            stds = np.full(len(live), std)
             gaussian_accumulate(out[:, t], centers, amps, stds)
     return out
 
@@ -73,6 +82,7 @@ def separate(U, Z, phase, dictionary, kept, n_spr, *, stft_cfg=None,
     """
     checked_axis(U, LogAxis)
     stft_cfg = checked_axis(Z, StftConfig, stft_cfg)
+    check_griffin_lim(gl_iters, length)
     if U.stft != stft_cfg:
         raise DomainError("log and linear spectrograms come from different "
                           "STFTs")

@@ -23,11 +23,19 @@ PGM_DYNAMIC_RANGE_DB = 100.0    # grey scale of save_pgm, dB below peak
 STFT_BLOCK_FRAMES = 16
 
 
+def is_count(value, least=1):
+    """``value`` is a Python or NumPy integer of at least ``least``."""
+    return isinstance(value, (int, np.integer)) and value >= least
+
+
 def _check_positive(config):
     """Every field of the window and axis configs is a positive,
-    finite number."""
+    finite number, and an integer where its annotation is ``int``."""
     for field in fields(config):
         value = getattr(config, field.name)
+        if field.type is int and not is_count(value):
+            raise ConfigError(f"{type(config).__name__}.{field.name} must "
+                              f"be an integer >= 1, got {value!r}")
         if not (np.isfinite(value) and value > 0):
             raise ConfigError(f"{type(config).__name__}.{field.name} must "
                               f"be positive and finite, got {value!r}")
@@ -191,6 +199,17 @@ def stft_magnitude(clip, cfg):
     return grid, np.angle(spec)
 
 
+def check_griffin_lim(iterations, length):
+    """Raise :class:`DomainError` unless :func:`griffin_lim` can take
+    ``iterations`` and ``length``: integers >= 1, ``length`` also None."""
+    if not is_count(iterations):
+        raise DomainError(f"Griffin-Lim iterations must be an integer "
+                          f">= 1, got {iterations!r}")
+    if not (length is None or is_count(length)):
+        raise DomainError(f"the signal length must be None or an integer "
+                          f">= 1, got {length!r}")
+
+
 def griffin_lim(target_magnitude, initial_phase, iterations, length=None):
     """Phase retrieval by alternating magnitude imposition and
     STFT-consistency projection.
@@ -205,8 +224,7 @@ def griffin_lim(target_magnitude, initial_phase, iterations, length=None):
     mag = target_magnitude.values
     if mag.shape != initial_phase.shape:
         raise DomainError("magnitude and phase grids differ in shape")
-    if iterations < 1:
-        raise DomainError("iterations must be >= 1")
+    check_griffin_lim(iterations, length)
     if length is None:
         length = 1 + (mag.shape[1] - 1) * cfg.hop_samples
     phase = initial_phase

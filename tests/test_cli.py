@@ -282,6 +282,29 @@ def test_readme_workflow_end_to_end(short_fixture, tmp_path, capsys):
     assert "sdr_db=" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("alpha0", ["0.001", "0.01"])
+def test_separate_on_a_coarse_log_axis(short_fixture, tmp_path, alpha0):
+    # Bins this wide put trained fundamentals where 2 ** (mu / alpha0)
+    # overflows a float (0.001) or an int64 window slot (0.01).
+    small = ["--set", "hop=4096", "--set", "transform_n_spr=10", "--set",
+             "transform_n_pre=10", "--set", "transform_n_itr=1", "--set",
+             "n_trn=4", "--set", "prune_interval=2", "--set",
+             f"alpha0={alpha0}"]
+    mix = str(short_fixture / "mix.wav")
+    cache, dictionary = tmp_path / "mix.hsls", tmp_path / "dict.txt"
+    assert main(small + ["transform", mix, "-o", str(cache)]) == 0
+    assert main(small + ["train", str(cache), "-o", str(dictionary)]) == 0
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(harmosep.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-m", "harmosep.cli", *small, "separate", mix,
+         str(dictionary), "--outdir", str(tmp_path / "stems")],
+        env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert "Traceback" not in run.stderr
+    assert "RuntimeWarning" not in run.stderr
+
+
 def test_dictionary_transfers_to_another_recording(tmp_path):
     # The paper's claim: a dictionary learned on one recording separates
     # another recording of the same instruments without retraining.

@@ -272,6 +272,11 @@ def test_train_validates_inputs():
         train(U, n_ins=0, n_spr=1, n_trn=10, seed=0, prune_interval=10)
     with pytest.raises(ConfigError):
         train(U, 1, 1, n_trn=10, seed=0, prune_interval=0)
+    # a negative or fractional seed or count, and a negative schedule
+    for seed, n_ins, n_trn in ((-1, 1, 2), (1.5, 1, 2), (0, 1.5, 2),
+                               (0, 1, -2)):
+        with pytest.raises(ConfigError):
+            train(U, n_ins, 1, n_trn, seed, prune_interval=1)
     with pytest.raises(DomainError):
         train(_log_grid(np.zeros((1024, 0))), 1, 1, 10, 0,
               prune_interval=10)

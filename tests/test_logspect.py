@@ -110,7 +110,7 @@ def test_nan_in_one_frame_is_recovered_in_that_frame(monkeypatch, k,
         assert len(atoms[1]) > 0
 
 
-def test_transform_checks_its_grid():
+def test_transform_checks_its_grid(monkeypatch):
     Z = _line_grid([10.24], [1.0], n_frames=1)
     U, _ = to_log_spectrogram(Z, pursuit_cfg=transform_config(n_itr=1))
     assert U.stft == Z.stft and U.axis == LogAxis()
@@ -121,6 +121,10 @@ def test_transform_checks_its_grid():
     same, _ = to_log_spectrogram(Z, stft_cfg=StftConfig(),
                                  pursuit_cfg=transform_config(n_itr=1))
     assert np.array_equal(same.values, U.values)
+    # an axis that is not a LogAxis, refused before any frame is pursued
+    monkeypatch.setattr(logspect, "pursue", None)
+    with pytest.raises(DomainError):
+        to_log_spectrogram(Z, axis=StftConfig())
 
 
 def test_zero_spectrogram_stays_zero():

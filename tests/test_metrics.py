@@ -100,6 +100,13 @@ def test_count_mismatch_rejected():
         bss_eval([sine(440.0)], [sine(440.0), sine(660.0)])
 
 
+def test_empty_lists_rejected():
+    for references, estimates in (([], []), ([], [sine(440.0)]),
+                                  ([sine(440.0)], [])):
+        with pytest.raises(DomainError):
+            bss_eval(references, estimates)
+
+
 def test_silent_references_rejected():
     with pytest.raises(DomainError):
         bss_eval([np.zeros(100)], [np.ones(100)])

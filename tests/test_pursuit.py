@@ -585,9 +585,9 @@ def test_scaled_refine_converges_before_its_cap(monkeypatch):
     spent, real_refine = [], pursuit._refine
 
     def recorded_refine(*args):
-        value, evals = real_refine(*args)
+        atoms, value, evals = real_refine(*args)
         spent.append(evals)
-        return value, evals
+        return atoms, value, evals
 
     monkeypatch.setattr(pursuit, "_refine", recorded_refine)
     res = pursue(Y, fam, cfg)
@@ -597,6 +597,9 @@ def test_scaled_refine_converges_before_its_cap(monkeypatch):
                                                   abs=1e-5)
     assert res.evals == sum(spent)
     assert res.loss < 1e-9
+
+
+_ATOM_FIELDS = ("a", "mu", "eta", "theta")
 
 
 def _one_atom_frame(fam):
@@ -619,8 +622,10 @@ def test_zero_and_off_grid_atoms_get_finite_scales(kind, q):
         assert scale.shape == (len(atoms) * (2 + fam.n_params),)
         assert np.all(np.isfinite(scale)) and np.all(scale > 0.0)
         start = loss(target, atoms, fam, cfg)[0]
-        refined = atoms.copy()
-        value, evals = pursuit._refine(target, refined, fam, cfg)
+        given = [getattr(atoms, name).copy() for name in _ATOM_FIELDS]
+        refined, value, evals = pursuit._refine(target, atoms, fam, cfg)
+        for name, before in zip(_ATOM_FIELDS, given):
+            assert np.array_equal(getattr(atoms, name), before)
         assert evals > 0
         assert value <= start
         assert value == pytest.approx(loss(target, refined, fam, cfg)[0],
@@ -641,11 +646,13 @@ def test_nan_in_the_curvature_forward_is_no_valid_iterate(kind, q,
     atoms = Atoms([0.9], [61.0], [0], fam.theta_nil[None, :])
     with pytest.raises(OptimizationError):
         pursuit._scales(target, atoms, nan_on_call(fam, 1), cfg)
-    refined = atoms.copy()
-    assert pursuit._refine(target, refined, nan_on_call(fam, 1),
-                           cfg) == (np.inf, 0)
-    for name in ("a", "mu", "eta", "theta"):
-        assert np.array_equal(getattr(refined, name), getattr(atoms, name))
+    given = [getattr(atoms, name).copy() for name in _ATOM_FIELDS]
+    refined, value, evals = pursuit._refine(target, atoms,
+                                            nan_on_call(fam, 1), cfg)
+    assert (value, evals) == (np.inf, 0)
+    assert refined is atoms
+    for name, before in zip(_ATOM_FIELDS, given):
+        assert np.array_equal(getattr(refined, name), before)
 
 
 def test_select_xcorr_samples_each_pattern_once_per_family(nan_on_call):

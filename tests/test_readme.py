@@ -1,15 +1,20 @@
-"""The README's library example calls the package as it is.
+"""The README's examples call the package as it is.
 
-The example is too slow to run in a test, so each call of a harmosep
-name is checked against the callee's signature instead: the positional
-and keyword arguments, with placeholders for their values, must bind.
+The examples are too slow to run in a test.  Each call of a harmosep
+name in the library example is checked against the callee's signature
+instead: the positional and keyword arguments, with placeholders for
+their values, must bind.  Each ``harmosep`` command line must parse,
+flags and configuration keys included.
 """
 
 import ast
 import importlib
 import inspect
 import re
+import shlex
 from pathlib import Path
+
+from harmosep.cli import build_parser, load_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -58,3 +63,23 @@ def test_readme_calls_bind_to_signatures():
                 ) from None
             checked += 1
     assert checked > 0
+
+
+def _command_lines():
+    """The ``harmosep`` lines of the README's shell blocks, with their
+    continuation lines joined."""
+    text = README.read_text(encoding="utf-8")
+    lines = []
+    for block in re.findall(r"```sh\n(.*?)```", text, flags=re.DOTALL):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("harmosep "):
+                lines.append(line)
+    return lines
+
+
+def test_readme_commands_parse():
+    lines = _command_lines()
+    assert len(lines) == 5
+    for line in lines:
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        load_config(args.config, args.overrides)

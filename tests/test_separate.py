@@ -1,3 +1,6 @@
+import importlib
+import warnings
+
 import numpy as np
 import pytest
 
@@ -58,20 +61,40 @@ def test_reconstruct_drops_partials_beyond_grid():
     assert np.all(np.isfinite(out))
 
 
+@pytest.mark.parametrize("alpha0, mu", [(0.001, 2.0), (0.01, 8.0)])
+def test_reconstruct_skips_atoms_far_past_the_grid(alpha0, mu):
+    # 2 ** (mu / alpha0) overflows a float at alpha0 = 0.001 and an
+    # int64 window slot at alpha0 = 0.01; such a fundamental renders
+    # nothing on the grid.
+    fam = harmonic_family(Dictionary(np.ones((3, 1))), LogAxis(alpha0=alpha0),
+                          StftConfig())
+    atom = Atoms([1.0], [mu], [0], [fam.theta_nil])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = reconstruct_instrument([atom], 0, fam, (100, 2))
+    assert np.all(out == 0.0)
+
+
 def test_reconstruct_skips_zero_partials_with_the_same_stems():
     # A partial with D[h, eta] == 0 adds exactly 0.0 wherever its window
-    # lies, so leaving it out keeps every bit of the stems.
+    # lies, so leaving it out keeps every bit of the stems.  So does an
+    # atom whose fundamental lies past the grid by more than a window's
+    # reach; the last frame holds one just inside that reach and one
+    # just outside.
     D = np.array([[0.0, 0.9], [0.7, 0.0], [0.0, 0.0], [0.3, 1.0],
                   [0.0, 0.2]])
     fam = _family(D)
     axis = LogAxis()
+    edge = 400.0 + 8.0 * fam.sigma_nil * fam.bin_scale
     frames = [Atoms([1.0, 0.4, 0.8], [axis.alpha(40.0), axis.alpha(41.3),
                                       axis.alpha(55.0)], [0, 0, 1],
                     [[fam.sigma_nil, 0.0], [1.3 * fam.sigma_nil, 2e-3],
                      [fam.sigma_nil, 1e-3]]),
               Atoms.empty(2),
               Atoms([0.6], [axis.alpha(30.7)], [1],
-                    [[0.8 * fam.sigma_nil, 0.0]])]
+                    [[0.8 * fam.sigma_nil, 0.0]]),
+              Atoms([1.0, 1.0], [axis.alpha(edge), axis.alpha(edge + 3.0)],
+                    [1, 1], np.tile(fam.theta_nil, (2, 1)))]
     shape = (400, len(frames))
     for eta in range(D.shape[1]):
         every = np.zeros(shape)
@@ -86,6 +109,7 @@ def test_reconstruct_skips_zero_partials_with_the_same_stems():
         assert every.any()
         assert np.array_equal(
             reconstruct_instrument(frames, eta, fam, shape), every)
+    assert every[:, -1].any()
 
 
 def test_apply_mask_single_instrument_recovers_mixture(rng):
@@ -138,7 +162,7 @@ def test_separate_silence_yields_silence():
     assert all(len(a) == 0 for a in res.atoms_per_frame)
 
 
-def test_separate_validates_shapes():
+def test_separate_validates_shapes(monkeypatch):
     scfg, U, Z, phase = _silent_setup()
     d = Dictionary(np.full((4, 2), 0.5))
     with pytest.raises(DomainError):
@@ -166,6 +190,13 @@ def test_separate_validates_shapes():
     for kept in ([5], [-1], [0.5], [0, 0]):
         with pytest.raises(DomainError):
             separate(U, Z, phase, d, kept, 1)
+    # Griffin-Lim's arguments, refused before any frame is pursued
+    monkeypatch.setattr(importlib.import_module("harmosep.separate"),
+                        "pursue", None)
+    for gl in (dict(gl_iters=0), dict(gl_iters=1.5), dict(length=0),
+               dict(length=-5)):
+        with pytest.raises(DomainError):
+            separate(U, Z, phase, d, [0], 1, **gl)
 
 
 @pytest.mark.parametrize("use_mask", [False, True])

@@ -32,6 +32,9 @@ BAD_FIELDS = [
     (LogAxis, "f0", -1.0),
     (LogAxis, "alpha0", 0.0),
     (LogAxis, "n_bins", 0),
+    (StftConfig, "hop_samples", 1500.5),
+    (StftConfig, "sample_rate_hz", 48000.0),
+    (LogAxis, "n_bins", 10.5),
 ]
 
 
@@ -132,8 +135,9 @@ def test_griffin_lim_validates_arguments(cfg):
     grid, phase = stft_magnitude(clip, cfg)
     with pytest.raises(DomainError):
         griffin_lim(grid, phase[:, :-1], 1)
-    with pytest.raises(DomainError):
-        griffin_lim(grid, phase, 0)
+    for iterations, length in ((0, None), (1.5, None), (1, 0), (1, -5)):
+        with pytest.raises(DomainError):
+            griffin_lim(grid, phase, iterations, length=length)
     log_grid = SpectrogramGrid(grid.values, grid.stft, LogAxis())
     with pytest.raises(DomainError):
         griffin_lim(log_grid, phase, 1)
